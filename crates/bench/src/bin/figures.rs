@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release -p cbfd-bench --bin figures           # everything
-//! cargo run --release -p cbfd-bench --bin figures -- fig5   # one figure
+//! cargo run --release -p cbfd-bench --bin figures -- fig5   # one topic (exact name)
 //! CBFD_WORKERS=4 cargo run --release -p cbfd-bench --bin figures
 //! ```
 //!
@@ -32,46 +32,41 @@ use rand::SeedableRng;
 use std::fs;
 use std::path::Path;
 
+/// Every topic, in the order a full run regenerates them.
+const TOPICS: &[(&str, fn())] = &[
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("dch", dch),
+    ("intercluster", intercluster_study),
+    ("cost", cost),
+    ("system", system),
+    ("sleep", sleep_study),
+    ("aggregation", aggregation_study),
+    ("energy", energy_study),
+    ("conflict", conflict_study),
+];
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
+    let known = |w: &str| w == "all" || TOPICS.iter().any(|&(name, _)| name == w);
+    if let Some(unknown) = which.iter().find(|w| !known(w)) {
+        let names: Vec<&str> = TOPICS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "figures: unknown topic `{unknown}`; valid topics: all, {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
     let all = which.is_empty() || which.iter().any(|w| w == "all");
-    let want = |name: &str| all || which.iter().any(|w| w == name);
 
     fs::create_dir_all("results").expect("create results dir");
     println!("(parallel sweeps: {} workers)\n", par::default_workers());
 
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("dch") {
-        dch();
-    }
-    if want("intercluster") {
-        intercluster_study();
-    }
-    if want("cost") {
-        cost();
-    }
-    if want("system") {
-        system();
-    }
-    if want("sleep") {
-        sleep_study();
-    }
-    if want("aggregation") {
-        aggregation_study();
-    }
-    if want("energy") {
-        energy_study();
-    }
-    if want("conflict") {
-        conflict_study();
+    for &(name, run) in TOPICS {
+        if all || which.iter().any(|w| w == name) {
+            run();
+        }
     }
 }
 

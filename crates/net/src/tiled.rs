@@ -17,6 +17,20 @@
 //! Cross-tile deliveries are exchanged at the window barrier — they
 //! always land in a later window, so no rollback is ever needed.
 //!
+//! # The tile event queue
+//!
+//! A tile does not use the calendar queue of `sim.rs`, nor a binary
+//! heap: the same lookahead means a delivery always fires in a later
+//! window than the one that sent it, and the protocol is
+//! round-synchronous, so a tile's pending events are a few large
+//! bursts that share a fire instant. Each tile keeps **one buffer
+//! sorted a time-slab at a time** (`SlabQueue`, DESIGN.md §14 "Tile
+//! event queue"): pushes append, the earliest slab is partitioned to
+//! the front and sorted when the previous one runs dry, pops advance a
+//! cursor, and the rare push into the already-open slab goes to a
+//! small side heap. [`CanonicalSim`] keeps the plain binary heap
+//! (`EventHeap`) — it is the specification, not the fast path.
+//!
 //! # Determinism contract (tile-count *and* worker-count invariance)
 //!
 //! Both engines in this module order events by the globally unique,
@@ -434,10 +448,6 @@ impl<M> EventHeap<M> {
         self.heap.push(Reverse(QEntry { at, prio, kind }));
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
-
     /// Pops the next event iff it fires strictly before `lim`.
     fn pop_before(&mut self, lim: SimTime) -> Option<(SimTime, EventPrio, EventKind<M>)> {
         if self.heap.peek().is_some_and(|e| e.0.at < lim) {
@@ -451,36 +461,173 @@ impl<M> EventHeap<M> {
     fn len(&self) -> usize {
         self.heap.len()
     }
+}
 
-    /// Entries sorted by the canonical key — the checkpoint image
-    /// (heap-internal order is nondeterministic and never persisted).
-    fn sorted_entries(&self) -> Vec<(SimTime, EventPrio, EventKind<M>)>
-    where
-        M: Clone,
-        EventKind<M>: Clone,
-    {
-        let mut entries: Vec<_> = self
-            .heap
+// --------------------------------------------------------- slab queue
+
+/// Sentinel for "no pending fire time" (an empty tail's minimum).
+const NEVER: SimTime = SimTime::from_micros(u64::MAX);
+
+/// A tile's run queue: **one buffer, sorted a time-slab at a time**.
+///
+/// The FDS is round-synchronous, so a tile's events arrive in bursts
+/// that share one fire instant; a binary heap pays a full sift-down
+/// per pop for an order the burst already (almost) has. Time is cut
+/// into slabs `[k·W, (k+1)·W)` aligned like the engine's windows, `W`
+/// being the radio base delay the tile was built (or restored) with,
+/// so a delivery pushed at `now + delay` lands in a slab that is not
+/// open yet:
+///
+/// * [`push`](Self::push) appends to the unsorted *tail* and tracks
+///   the tail's minimum fire time;
+/// * when the open slab is exhausted, [`pop_before`](Self::pop_before)
+///   drops the consumed prefix, partitions the tail in place to pull
+///   the earliest pending slab to the front, sorts that *run* by the
+///   canonical `(at, prio)` key and then pops by advancing a cursor;
+/// * a push that fires inside or before the open slab (sub-window
+///   timers, externals, cross-tile copies after a clipped window, any
+///   delivery once `set_radio` shrank the delay below `W`) goes to a
+///   small *late* heap that is merged with the run head at pop time.
+///
+/// Keys are globally unique, so `sort_unstable` yields the one total
+/// order and pop order never depends on `W`, on push order or on sort
+/// internals. Everything in the run and the late heap fires before
+/// `open_end`; everything in the tail fires at or after it.
+/// [`peek_time`](Self::peek_time) is exact (minimum of run head, late
+/// top, tail minimum) — [`TileSchedule`] derives the next window from
+/// it. Worst case is one O(tail) scan per slab opened.
+#[derive(Debug)]
+struct SlabQueue<M> {
+    width: SimDuration,
+    /// `[..head]` consumed, `[head..run_end]` the open slab's sorted
+    /// run, `[run_end..]` the unsorted tail.
+    buf: Vec<QEntry<M>>,
+    head: usize,
+    run_end: usize,
+    /// Exclusive upper bound of the open slab (`ZERO`: none opened).
+    open_end: SimTime,
+    /// Minimum fire time in the tail ([`NEVER`] when it is empty).
+    tail_min: SimTime,
+    late: BinaryHeap<Reverse<QEntry<M>>>,
+}
+
+impl<M: Clone> SlabQueue<M> {
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    fn new(width: SimDuration) -> Self {
+        assert!(!width.is_zero(), "slab width must be positive");
+        SlabQueue {
+            width,
+            buf: Vec::new(),
+            head: 0,
+            run_end: 0,
+            open_end: SimTime::ZERO,
+            tail_min: NEVER,
+            late: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, at: SimTime, prio: EventPrio, kind: EventKind<M>) {
+        let entry = QEntry { at, prio, kind };
+        if at < self.open_end {
+            self.late.push(Reverse(entry));
+        } else {
+            self.tail_min = self.tail_min.min(at);
+            self.buf.push(entry);
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        let run = self.buf[..self.run_end].get(self.head).map(|e| e.at);
+        let late = self.late.peek().map(|e| e.0.at);
+        let tail = (self.run_end < self.buf.len()).then_some(self.tail_min);
+        [run, late, tail].into_iter().flatten().min()
+    }
+
+    /// Pops the next event iff it fires strictly before `lim`.
+    fn pop_before(&mut self, lim: SimTime) -> Option<(SimTime, EventPrio, EventKind<M>)> {
+        if self.head == self.run_end && self.late.is_empty() {
+            // An empty tail reads NEVER, which no `lim` exceeds.
+            if self.tail_min >= lim {
+                return None;
+            }
+            self.open_next_slab();
+        }
+        let run = self.buf[..self.run_end].get(self.head);
+        let entry = match self.late.peek() {
+            Some(Reverse(late)) if run.is_none_or(|r| late < r) => {
+                if late.at >= lim {
+                    return None;
+                }
+                self.late.pop().expect("peeked entry present").0
+            }
+            _ => {
+                let r = run.filter(|r| r.at < lim)?.clone();
+                self.head += 1;
+                r
+            }
+        };
+        Some((entry.at, entry.prio, entry.kind))
+    }
+
+    /// Makes the slab holding the tail's earliest entry the open one:
+    /// its entries move to the front of the buffer (keeping their push
+    /// order, which is almost the key order) and are sorted.
+    fn open_next_slab(&mut self) {
+        debug_assert!(self.head == self.run_end && self.late.is_empty());
+        debug_assert!(self.tail_min < NEVER, "no slab to open");
+        self.buf.drain(..self.head);
+        self.open_end = window_end(window_index(self.tail_min, self.width), self.width);
+        let mut run_end = 0;
+        let mut tail_min = NEVER;
+        for i in 0..self.buf.len() {
+            let at = self.buf[i].at;
+            if at < self.open_end {
+                if run_end != i {
+                    self.buf.swap(run_end, i);
+                }
+                run_end += 1;
+            } else {
+                tail_min = tail_min.min(at);
+            }
+        }
+        self.buf[..run_end].sort_unstable();
+        self.head = 0;
+        self.run_end = run_end;
+        self.tail_min = tail_min;
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len() - self.head + self.late.len()
+    }
+
+    /// Pending entries sorted by the canonical key — the checkpoint
+    /// image. Slab state is never persisted, so the bytes depend only
+    /// on the queue's contents.
+    fn sorted_entries(&self) -> Vec<(SimTime, EventPrio, EventKind<M>)> {
+        let mut entries: Vec<_> = self.buf[self.head..]
             .iter()
-            .map(|Reverse(e)| (e.at, e.prio, e.kind.clone()))
+            .chain(self.late.iter().map(|Reverse(e)| e))
+            .map(|e| (e.at, e.prio, e.kind.clone()))
             .collect();
         entries.sort_by_key(|&(at, prio, _)| (at, prio));
         entries
     }
 
-    fn from_entries(entries: Vec<(SimTime, EventPrio, EventKind<M>)>) -> Self {
-        let mut heap = EventHeap::new();
+    fn from_entries(entries: Vec<(SimTime, EventPrio, EventKind<M>)>, width: SimDuration) -> Self {
+        let mut queue = SlabQueue::new(width);
         for (at, prio, kind) in entries {
-            heap.push(at, prio, kind);
+            queue.push(at, prio, kind);
         }
-        heap
+        queue
     }
 }
 
 // ----------------------------------------------------- window sched
 
 /// Incrementally maintained minimum over per-tile next-event times: a
-/// flat tournament tree (the calendar-queue trick applied to tiles).
+/// flat tournament tree.
 ///
 /// Leaf `i` holds tile `i`'s next pending fire time in microseconds
 /// (`u64::MAX` = idle); each internal node holds the minimum of its
@@ -1223,7 +1370,7 @@ struct Shared<'a> {
 }
 
 /// One spatial tile: structure-of-arrays node state, its own event
-/// heap, payload arena, timer slab, RNG streams, lazy energy ledger,
+/// queue, payload arena, timer slab, RNG streams, lazy energy ledger,
 /// and the window outbox/trace buffers drained at each barrier.
 struct Tile<A: Actor> {
     index: u32,
@@ -1238,7 +1385,7 @@ struct Tile<A: Actor> {
     next_seq: Vec<u64>,
     energy: LazyEnergy,
     loss: Box<dyn LossModel>,
-    queue: EventHeap<PayloadId>,
+    queue: SlabQueue<PayloadId>,
     payloads: PayloadArena<A::Msg>,
     timers: TimerSlab,
     node_timers: Vec<Vec<(u64, u32)>>,
@@ -1262,7 +1409,6 @@ struct Tile<A: Actor> {
     trace_cursor: usize,
     tag: EventPrio,
     now: SimTime,
-    scratch_neighbors: Vec<NodeId>,
     scratch_commands: Vec<Command<A::Msg>>,
     /// Exchange scratch: payload ids of the bucket being routed in.
     scratch_payload_ids: Vec<PayloadId>,
@@ -1542,9 +1688,6 @@ impl<A: Actor> Tile<A> {
 
     fn transmit(&mut self, from: NodeId, msg: A::Msg, shared: &Shared<'_>) {
         let lf = self.local(shared, from);
-        let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
-        neighbors.clear();
-        neighbors.extend_from_slice(shared.topology.neighbors(from));
         self.metrics.transmissions += 1;
         self.metrics.tx_local[lf] += 1;
         self.energy.charge_tx(lf, self.now);
@@ -1554,7 +1697,7 @@ impl<A: Actor> Tile<A> {
         let payload = self.payloads.insert(msg);
         self.tx_dests.clear();
         let mut refs = 0u32;
-        for &to in neighbors.iter() {
+        for &to in shared.topology.neighbors(from) {
             let partitioned = shared
                 .partition
                 .as_ref()
@@ -1625,7 +1768,6 @@ impl<A: Actor> Tile<A> {
             }
         }
         self.payloads.set_refs(payload, refs);
-        self.scratch_neighbors = neighbors;
     }
 }
 
@@ -1761,7 +1903,7 @@ impl<A: Actor> TiledSim<A> {
                     next_seq: vec![0; k],
                     energy: LazyEnergy::new(k, EnergyModel::default()),
                     loss: split_loss(&snapshot, &tile_of, t as u32),
-                    queue: EventHeap::new(),
+                    queue: SlabQueue::new(radio.delay()),
                     payloads: PayloadArena::new(),
                     timers: TimerSlab::default(),
                     node_timers: vec![Vec::new(); k],
@@ -1777,7 +1919,6 @@ impl<A: Actor> TiledSim<A> {
                         seq: 0,
                     },
                     now: SimTime::ZERO,
-                    scratch_neighbors: Vec::new(),
                     scratch_commands: Vec::new(),
                     scratch_payload_ids: Vec::new(),
                     nodes,
@@ -2347,7 +2488,7 @@ where
     /// tiled tag and the grid dimensions, then one section per tile in
     /// tile order; per-tile queues are persisted as `(time, priority,
     /// event)` entries sorted by their canonical key, so the encoding
-    /// is independent of `BinaryHeap` internals.
+    /// is independent of the queue's internal layout.
     ///
     /// # Errors
     ///
@@ -2514,7 +2655,7 @@ where
                     last_credit,
                 },
                 loss: loss.rebuild(),
-                queue: EventHeap::from_entries(entries),
+                queue: SlabQueue::from_entries(entries, delay),
                 payloads,
                 timers,
                 node_timers,
@@ -2537,7 +2678,6 @@ where
                     seq: 0,
                 },
                 now: tile_now,
-                scratch_neighbors: Vec::new(),
                 scratch_commands: Vec::new(),
                 scratch_payload_ids: Vec::new(),
                 nodes,
@@ -2603,6 +2743,7 @@ mod tests {
     use super::*;
     use crate::actor::{Actor, Ctx, TimerToken};
     use crate::geometry::Point;
+    use proptest::prelude::*;
 
     /// Broadcasts pings at start, echoes every Nth heard message, and
     /// runs a periodic timer — enough traffic to exercise delivery,
@@ -2977,6 +3118,17 @@ mod tests {
 
     #[test]
     fn mid_run_radio_swap_matches_canonical() {
+        // The second swap shrinks the base delay below the slab width
+        // the tile queues were built with (1 ms): every delivery then
+        // fires inside the open slab and takes the late-heap path —
+        // here while that slab's sorted run still holds a crash and a
+        // rejoin they must interleave with — so correctness cannot
+        // lean on the width.
+        let short_hop = || {
+            RadioConfig::bernoulli(0.2)
+                .with_delay(SimDuration::from_micros(200))
+                .with_jitter(SimDuration::from_micros(50))
+        };
         let run_c = |seed| {
             let mut sim = CanonicalSim::new(grid_topology(18, 300.0, 130.0), radio(), seed, |_| {
                 Chatter {
@@ -2988,6 +3140,10 @@ mod tests {
             sim.run_until(SimTime::from_millis(3));
             sim.set_radio(RadioConfig::bernoulli(0.4).with_jitter(SimDuration::from_micros(80)));
             sim.run_until(SimTime::from_millis(8));
+            sim.set_radio(short_hop());
+            sim.schedule_crash(NodeId(4), SimTime::from_micros(9_230));
+            sim.schedule_rejoin(NodeId(4), SimTime::from_micros(9_240));
+            sim.run_until(SimTime::from_millis(13));
             fingerprint_canonical(&sim)
         };
         let run_t = |seed, gx, gy| {
@@ -3006,11 +3162,204 @@ mod tests {
             sim.run_until(SimTime::from_millis(3));
             sim.set_radio(RadioConfig::bernoulli(0.4).with_jitter(SimDuration::from_micros(80)));
             sim.run_until(SimTime::from_millis(8));
+            sim.set_radio(short_hop());
+            sim.schedule_crash(NodeId(4), SimTime::from_micros(9_230));
+            sim.schedule_rejoin(NodeId(4), SimTime::from_micros(9_240));
+            sim.run_until(SimTime::from_millis(13));
             fingerprint_tiled(&sim)
         };
         let c = run_c(21);
         assert_eq!(c, run_t(21, 1, 1));
         assert_eq!(c, run_t(21, 2, 3));
+    }
+
+    // --- SlabQueue against a BinaryHeap model ---
+
+    /// The model's next fire time (`EventHeap` itself has no peek:
+    /// `CanonicalSim` never needs one).
+    fn model_peek(model: &EventHeap<u32>) -> Option<SimTime> {
+        model.heap.peek().map(|e| e.0.at)
+    }
+
+    fn model_sorted(model: &EventHeap<u32>) -> Vec<(SimTime, EventPrio, EventKind<u32>)> {
+        let mut entries: Vec<_> = model
+            .heap
+            .iter()
+            .map(|Reverse(e)| (e.at, e.prio, e.kind.clone()))
+            .collect();
+        entries.sort_by_key(|&(at, prio, _)| (at, prio));
+        entries
+    }
+
+    /// Interprets `ops` on a [`SlabQueue`] of slab width `width` µs and
+    /// on the `BinaryHeap` model, comparing every pop, `peek_time` and
+    /// `len` along the way and the full drain at the end. Returns how
+    /// many pushes took the late-heap path and how many slabs were
+    /// opened, so scripted tests can assert they hit what they aim at.
+    ///
+    /// `(op, a, b)`: 0–2 push at absolute time `a`; 3 push `a % 4` µs
+    /// after the last pop (the open slab, equal fire times); 4 pop
+    /// with `lim` clipped `a % 3` µs past the head (mid-slab stop,
+    /// resumed by later ops); 5 up to `b % 8 + 1` pops before `a`;
+    /// 6 drain before `a`; 7 snapshot through `sorted_entries` →
+    /// `from_entries` at slab width `b % 2000 + 1`.
+    fn run_slab_queue_against_model(width: u64, ops: &[(u8, u64, u64)]) -> (usize, usize) {
+        let mut queue = SlabQueue::new(SimDuration::from_micros(width));
+        let mut model = EventHeap::new();
+        let (mut late_pushes, mut slabs_opened) = (0, 0);
+        let mut last_pop = 0u64;
+        let mut push =
+            |queue: &mut SlabQueue<u32>, model: &mut EventHeap<u32>, i: usize, at: u64, b: u64| {
+                let at = SimTime::from_micros(at);
+                // Unique key: `seq` is the op index; birth/node collide.
+                let prio = EventPrio {
+                    birth: SimTime::from_micros(b % 3),
+                    node: (b % 5) as u32,
+                    seq: i as u64,
+                };
+                let kind = EventKind::Deliver {
+                    to: NodeId((b % 7) as u32),
+                    from: NodeId(prio.node),
+                    msg: i as u32,
+                };
+                late_pushes += usize::from(at < queue.open_end);
+                queue.push(at, prio, kind.clone());
+                model.push(at, prio, kind);
+            };
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
+            let (lim, max_pops) = match op {
+                0..=2 => {
+                    push(&mut queue, &mut model, i, a, b);
+                    (0, 0)
+                }
+                3 => {
+                    push(&mut queue, &mut model, i, last_pop + a % 4, b);
+                    (0, 0)
+                }
+                4 => (
+                    model_peek(&model).map_or(0, |t| t.as_micros() + a % 3),
+                    usize::MAX,
+                ),
+                5 => (a, (b % 8 + 1) as usize),
+                6 => (a, usize::MAX),
+                _ => {
+                    let image = queue.sorted_entries();
+                    assert_eq!(image, model_sorted(&model), "checkpoint image");
+                    queue = SlabQueue::from_entries(image, SimDuration::from_micros(b % 2000 + 1));
+                    (0, 0)
+                }
+            };
+            let lim = SimTime::from_micros(lim);
+            for _ in 0..max_pops {
+                let before = queue.open_end;
+                let popped = queue.pop_before(lim);
+                slabs_opened += usize::from(queue.open_end != before);
+                assert_eq!(popped, model.pop_before(lim), "op {i}: pop_before({lim:?})");
+                match popped {
+                    Some((at, _, _)) => last_pop = at.as_micros(),
+                    None => break,
+                }
+            }
+            assert_eq!(queue.peek_time(), model_peek(&model), "op {i}: peek_time");
+            assert_eq!(queue.len(), model.len(), "op {i}: len");
+        }
+        assert_eq!(queue.sorted_entries(), model_sorted(&model));
+        while let Some(expected) = model.pop_before(NEVER) {
+            assert_eq!(queue.pop_before(NEVER), Some(expected));
+        }
+        assert_eq!(queue.pop_before(NEVER), None);
+        assert_eq!(queue.peek_time(), None);
+        (late_pushes, slabs_opened)
+    }
+
+    #[test]
+    fn slab_queue_scripted_clip_late_push_and_snapshot() {
+        // Width 10: entries at 12, 12, 15 share slab [10, 20); 31 and
+        // 47 wait in the tail.
+        let ops = [
+            (0, 15, 0),
+            (0, 12, 1),
+            (0, 47, 2),
+            (0, 12, 3),
+            (0, 31, 4),
+            (6, 13, 0), // opens [10, 20), pops both 12s, stops mid-slab
+            (3, 1, 5),  // 12 + 1: inside the open slab -> late heap
+            (0, 11, 6), // behind the cursor -> late heap, pops first
+            (0, 25, 7), // next slab -> tail
+            (5, 16, 0), // resumes: 11 only (one pop)
+            (7, 0, 6),  // mid-slab snapshot, restored at width 7
+            (6, 16, 0), // then 13 and 15
+            (4, 0, 0),  // opens the next slab at exactly its head
+            (6, 1000, 0),
+        ];
+        let (late, slabs) = run_slab_queue_against_model(10, &ops);
+        assert_eq!(late, 2);
+        assert!(slabs >= 3, "opened {slabs} slabs");
+    }
+
+    #[test]
+    fn slab_queue_entry_at_the_end_of_time_is_kept_and_reported() {
+        let mut queue = SlabQueue::new(SimDuration::from_millis(1));
+        let prio = EventPrio {
+            birth: SimTime::ZERO,
+            node: EXTERNAL_NODE,
+            seq: 0,
+        };
+        queue.push(NEVER, prio, EventKind::<u32>::Crash { node: NodeId(0) });
+        assert_eq!(queue.peek_time(), Some(NEVER));
+        assert_eq!(
+            queue.pop_before(NEVER),
+            None,
+            "nothing fires strictly before"
+        );
+        assert_eq!(queue.len(), 1);
+        assert_eq!(queue.sorted_entries().len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of push / `pop_before(lim)` /
+        /// `peek_time` / snapshot agree with the heap model for slab
+        /// widths from 1 µs to far beyond the horizon, over fire times
+        /// that collide heavily, fill a few slabs, or spread
+        /// jitter-like over many.
+        #[test]
+        fn slab_queue_matches_heap_model(
+            width in prop_oneof![Just(1u64), Just(7), Just(1000), Just(u64::MAX / 2)],
+            ops in prop_oneof![
+                proptest::collection::vec((0u8..8, 0u64..8, 0u64..10_000), 0..80),
+                proptest::collection::vec((0u8..8, 0u64..3_000, 0u64..10_000), 0..80),
+                proptest::collection::vec((0u8..8, 0u64..200_000, 0u64..10_000), 0..80),
+            ],
+        ) {
+            run_slab_queue_against_model(width, &ops);
+        }
+
+        /// The engine's own shape: bursts that share one fire instant
+        /// one slab ahead, timers a few slabs out, and window-by-window
+        /// draining with the last window clipped.
+        #[test]
+        fn slab_queue_matches_heap_model_on_round_synchronous_bursts(
+            bursts in proptest::collection::vec((1u64..6, 0usize..40, 0u64..1000), 1..12),
+        ) {
+            let width = 1000;
+            let mut ops = Vec::new();
+            let mut t = 0;
+            for (gap, size, clip) in bursts {
+                t += gap * width;
+                for k in 0..size {
+                    ops.push((0, t, k as u64)); // the burst
+                    if k % 8 == 0 {
+                        ops.push((0, t + 3 * width + k as u64, k as u64)); // a timer
+                    }
+                }
+                ops.push((6, t + clip, 0)); // clipped window
+                ops.push((3, 0, 1)); // sub-window timer
+                ops.push((6, t + width, 0)); // rest of the window
+            }
+            run_slab_queue_against_model(width, &ops);
+        }
     }
 
     #[test]
