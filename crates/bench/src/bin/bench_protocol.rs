@@ -1,19 +1,12 @@
 //! Full-protocol benchmark: FDS member-epochs/sec and wire bytes per
-//! epoch for the roster-indexed bitmap implementation
-//! ([`cbfd_core::node::FdsNode`]) against the frozen set-based
-//! reference ([`cbfd_core::reference::RefFdsNode`]).
+//! epoch for the protocol actor ([`cbfd_core::node::FdsNode`]).
 //!
 //! Each scenario forms clusters over a uniform field sized for a
 //! target mean degree, then runs the complete service — heartbeats,
-//! digests, health updates, peer forwarding, gateway reports — through
-//! both actors on the identical topology, clustering, channel, and
-//! seed. The two implementations schedule the same timers and
-//! broadcasts, so the event counts match; only the time spent per
-//! event, the allocation rate, and the digest wire bytes differ.
-//!
-//! The binary also cross-checks the byte ledgers: the bitmap node's
-//! `bytes_sent_id_list` shadow accounting must equal the reference's
-//! live ledger exactly, or the before/after comparison is meaningless.
+//! digests, health updates, peer forwarding, gateway reports — on the
+//! legacy single-queue engine with a pinned seed, so event counts,
+//! wire bytes and allocation counts replay exactly and only the
+//! wall-clock moves between machines.
 //!
 //! A `report_dedup` section records a deterministic crash-avalanche
 //! run (several same-epoch crashes across clusters) and asserts the
@@ -21,7 +14,7 @@
 //! inter-cluster reports — the epoch-1 report avalanche fix, with the
 //! suppressed wire bytes priced by the live codec.
 //!
-//! Beyond the layout comparison, the binary measures the spatially
+//! Beyond the scenarios, the binary measures the spatially
 //! tiled engine (`cbfd_net::tiled::TiledSim`, DESIGN.md §14) on an
 //! N-scaling ladder up to N=1,000,000 full-FDS nodes, plus a
 //! tile-count-scaling sweep at fixed N — the numbers behind the
@@ -49,11 +42,9 @@
 
 use cbfd_cluster::{oracle, FormationConfig};
 use cbfd_core::config::FdsConfig;
-use cbfd_core::node::{FdsNode, NodeStats};
+use cbfd_core::node::FdsNode;
 use cbfd_core::profile::{build_profiles, NodeProfile};
-use cbfd_core::reference::RefFdsNode;
 use cbfd_core::service::{Experiment, PlannedCrash};
-use cbfd_net::actor::Actor;
 use cbfd_net::energy::EnergyModel;
 use cbfd_net::geometry::Rect;
 use cbfd_net::prelude::*;
@@ -88,57 +79,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The common constructor/read-out surface of the two protocol actors.
-trait BenchNode: Actor + Sized {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self;
-    fn node_stats(&self) -> &NodeStats;
-    /// Retained-update/report clones on the dissemination path. The
-    /// reference deliberately reports 0: it keeps the historical
-    /// clone-heavy shapes, so the counter only tracks the live node's
-    /// residual clones (the thing the flat layout is meant to shrink).
-    fn clone_count(&self) -> u64;
-}
-
-impl BenchNode for FdsNode {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self {
-        FdsNode::new(profile, fds, capacity)
-    }
-    fn node_stats(&self) -> &NodeStats {
-        self.stats()
-    }
-    fn clone_count(&self) -> u64 {
-        self.clone_ops()
-    }
-}
-
-impl BenchNode for RefFdsNode {
-    fn build(profile: NodeProfile, fds: FdsConfig, capacity: f64) -> Self {
-        RefFdsNode::new(profile, fds, capacity)
-    }
-    fn node_stats(&self) -> &NodeStats {
-        self.stats()
-    }
-    fn clone_count(&self) -> u64 {
-        0
-    }
-}
-
 struct Scenario {
     n: usize,
     target_degree: f64,
     loss_p: f64,
     epochs: u64,
-}
-
-/// One implementation's timed run over a prepared field.
-struct LayoutRun {
-    seconds: f64,
-    member_epochs_per_sec: f64,
-    events: u64,
-    allocs_per_event: f64,
-    bytes: u64,
-    bytes_per_epoch: f64,
-    profile: ProtocolProfile,
 }
 
 /// Deterministic hot-path counters for one run: unlike wall-clock,
@@ -147,14 +92,13 @@ struct LayoutRun {
 #[derive(Clone, Copy)]
 struct ProtocolProfile {
     /// Sum of per-node `NodeStats::ledger_ops` — membership-ledger
-    /// mutations on the protocol path (counted at identical sites by
-    /// the flat node and the frozen reference).
+    /// mutations on the protocol path.
     ledger_ops: u64,
     /// Heap allocations during the timed window (best pass).
     allocs: u64,
     /// Allocations per simulated event, the gated rate.
     allocs_per_event: f64,
-    /// Residual retained-update clones (0 for the reference).
+    /// Residual retained-update clones on the dissemination path.
     clones: u64,
 }
 
@@ -166,14 +110,19 @@ fn profile_json(p: &ProtocolProfile) -> String {
     )
 }
 
+/// One scenario's timed run (best pass) and its deterministic counts.
 struct Measurement {
     n: usize,
     mean_degree: f64,
     clusters: usize,
     epochs: u64,
     member_epochs: u64,
-    bitmap: LayoutRun,
-    id_list: LayoutRun,
+    seconds: f64,
+    member_epochs_per_sec: f64,
+    events: u64,
+    bytes: u64,
+    bytes_per_epoch: f64,
+    profile: ProtocolProfile,
 }
 
 /// Square side giving mean unit-disk degree ≈ `target` for `n` nodes
@@ -182,18 +131,19 @@ fn side_for_degree(n: usize, r: f64, target: f64) -> f64 {
     (((n - 1) as f64) * std::f64::consts::PI * r * r / target).sqrt()
 }
 
-/// Timed passes per layout; the best is reported, so one run paying
+/// Timed passes per row; the best is reported, so one run paying
 /// process warmup (first-touch page faults, cold malloc arenas) does
-/// not skew the comparison. Both passes replay the same seed, so the
-/// event stream is identical.
+/// not skew the row. Both passes replay the same seed, so the event
+/// stream is identical.
 const PASSES: u32 = 2;
 
-fn run_layout<A: BenchNode>(
+/// Best-of-[`PASSES`] timing of the full service on the legacy engine
+/// over a prepared field: `(seconds, events, wire bytes, profile)`.
+fn run_layout(
     topology: &Topology,
     profiles: &[NodeProfile],
     s: &Scenario,
-    member_epochs: u64,
-) -> (LayoutRun, u64) {
+) -> (f64, u64, u64, ProtocolProfile) {
     let fds = FdsConfig::default();
     let capacity = EnergyModel::default().initial;
     let phi = fds.heartbeat_interval;
@@ -204,7 +154,7 @@ fn run_layout<A: BenchNode>(
             topology.clone(),
             RadioConfig::bernoulli(s.loss_p),
             0xFD5,
-            |id| A::build(profiles[id.index()].clone(), fds, capacity),
+            |id| FdsNode::new(profiles[id.index()].clone(), fds, capacity),
         );
         sim.set_energy_model(EnergyModel::default());
         let allocs_before = ALLOCS.load(Ordering::Relaxed);
@@ -222,51 +172,19 @@ fn run_layout<A: BenchNode>(
 
     let m = sim.metrics();
     let events = m.deliveries + m.dropped_dead + m.timers_fired;
-    let mut bytes = 0u64;
-    let mut bytes_id_list = 0u64;
-    let mut ledger_ops = 0u64;
-    let mut clones = 0u64;
-    for (_, node) in sim.actors() {
-        bytes += node.node_stats().bytes_sent;
-        bytes_id_list += node.node_stats().bytes_sent_id_list;
-        ledger_ops += node.node_stats().ledger_ops;
-        clones += node.clone_count();
-    }
-    if std::env::var_os("BENCH_PROTOCOL_DEBUG").is_some() {
-        let mut req = 0u64;
-        let mut fwd = 0u64;
-        let mut retx = 0u64;
-        let mut missed = 0u64;
-        for (_, node) in sim.actors() {
-            let st = node.node_stats();
-            req += st.requests_sent;
-            fwd += st.peer_forwards_sent;
-            retx += st.retransmissions;
-            missed += st.updates_missed;
-        }
-        eprintln!(
-            "  [debug] deliveries={} timers={} requests={req} forwards={fwd} retx={retx} missed={missed}",
-            m.deliveries, m.timers_fired
-        );
-    }
-    let allocs_per_event = allocs as f64 / events.max(1) as f64;
-    (
-        LayoutRun {
-            seconds,
-            member_epochs_per_sec: member_epochs as f64 / seconds,
-            events,
-            allocs_per_event,
-            bytes,
-            bytes_per_epoch: bytes as f64 / s.epochs as f64,
-            profile: ProtocolProfile {
-                ledger_ops,
-                allocs,
-                allocs_per_event,
-                clones,
-            },
-        },
-        bytes_id_list,
-    )
+    let (bytes, ledger_ops, clones) =
+        sim.actors()
+            .fold((0u64, 0u64, 0u64), |(b, l, c), (_, node)| {
+                let st = node.stats();
+                (b + st.bytes_sent, l + st.ledger_ops, c + node.clone_ops())
+            });
+    let profile = ProtocolProfile {
+        ledger_ops,
+        allocs,
+        allocs_per_event: allocs as f64 / events.max(1) as f64,
+        clones,
+    };
+    (seconds, events, bytes, profile)
 }
 
 fn run_scenario(s: &Scenario) -> Measurement {
@@ -288,16 +206,7 @@ fn run_scenario(s: &Scenario) -> Measurement {
         .count() as u64;
     let member_epochs = members * s.epochs;
 
-    let (bitmap, shadow) = run_layout::<FdsNode>(&topology, &profiles, s, member_epochs);
-    let (id_list, _) = run_layout::<RefFdsNode>(&topology, &profiles, s, member_epochs);
-
-    // The shadow ledger IS the reference's live ledger, or the
-    // before/after byte comparison is measuring two different runs.
-    assert_eq!(
-        shadow, id_list.bytes,
-        "N={}: id-list shadow accounting diverged from the reference",
-        s.n
-    );
+    let (seconds, events, bytes, profile) = run_layout(&topology, &profiles, s);
 
     Measurement {
         n: s.n,
@@ -305,8 +214,12 @@ fn run_scenario(s: &Scenario) -> Measurement {
         clusters: view.cluster_count(),
         epochs: s.epochs,
         member_epochs,
-        bitmap,
-        id_list,
+        seconds,
+        member_epochs_per_sec: member_epochs as f64 / seconds,
+        events,
+        bytes,
+        bytes_per_epoch: bytes as f64 / s.epochs as f64,
+        profile,
     }
 }
 
@@ -501,9 +414,8 @@ fn run_tiled_scenario(s: &TiledScenario) -> TiledRow {
 
 /// Per-row regression anchors parsed from the committed
 /// `BENCH_protocol.json`: `(section, row id)` → committed
-/// `baseline_member_epochs_per_sec`, plus — for the tiled sections,
-/// whose rows carry exactly one `allocs_per_event` — the committed
-/// allocation rate, so allocation regressions gate like throughput
+/// `baseline_member_epochs_per_sec`, plus the row's committed
+/// `allocs_per_event`, so allocation regressions gate like throughput
 /// regressions.
 struct Committed {
     present: bool,
@@ -519,16 +431,12 @@ impl Committed {
             };
         };
         let mut rows = Vec::new();
-        for (section, id_key, allocs_scope) in [
-            // Scenario rows nest one `allocs_per_event` per layout, so
-            // their gated rate lives in the unambiguous
-            // `protocol_profile` block; tiled rows carry the row-level
-            // key first, before the breakdown/profile blocks.
-            ("scenarios", "\"n\":", Some("\"protocol_profile\":")),
-            ("tiled_scaling", "\"n\":", Some("")),
-            ("tile_count_scaling", "\"grid\":", Some("")),
+        for (section, id_key) in [
+            ("scenarios", "\"n\":"),
+            ("tiled_scaling", "\"n\":"),
+            ("tile_count_scaling", "\"grid\":"),
         ] {
-            for (id, base, allocs) in section_rows(&text, section, id_key, allocs_scope) {
+            for (id, base, allocs) in section_rows(&text, section, id_key) {
                 rows.push((format!("{section} {id}"), base, allocs));
             }
         }
@@ -580,17 +488,9 @@ fn parse_number(text: &str) -> Option<f64> {
 /// triples. Rows are delimited by their leading id key (`"n":` or
 /// `"grid":`), and each carries `baseline_member_epochs_per_sec`
 /// immediately after the id — nested objects later in the row can't be
-/// mistaken for it. `allocs_scope` additionally captures the row's
-/// `allocs_per_event`: `Some("")` takes the first (row-level)
-/// occurrence, `Some(marker)` the first occurrence after `marker` —
-/// scenario rows nest several per-layout copies, so theirs is scoped
-/// to the `protocol_profile` block.
-fn section_rows(
-    text: &str,
-    section: &str,
-    id_key: &str,
-    allocs_scope: Option<&str>,
-) -> Vec<(String, f64, Option<f64>)> {
+/// mistaken for it. The row's gated `allocs_per_event` is its first
+/// occurrence: the row-level key precedes the breakdown/profile blocks.
+fn section_rows(text: &str, section: &str, id_key: &str) -> Vec<(String, f64, Option<f64>)> {
     let mut out = Vec::new();
     let header = format!("\"{section}\": [");
     let Some(start) = text.find(&header) else {
@@ -619,16 +519,9 @@ fn section_rows(
         let Some(base) = parse_number(&rest[bat + base_key.len()..]) else {
             continue;
         };
-        let allocs = allocs_scope.and_then(|marker| {
-            let scoped = if marker.is_empty() {
-                row
-            } else {
-                &row[row.find(marker)? + marker.len()..]
-            };
-            scoped
-                .find(allocs_key)
-                .and_then(|aat| parse_number(&scoped[aat + allocs_key.len()..]))
-        });
+        let allocs = row
+            .find(allocs_key)
+            .and_then(|aat| parse_number(&row[aat + allocs_key.len()..]));
         let id = if id_key == "\"n\":" {
             format!("n={id_raw}")
         } else {
@@ -660,8 +553,8 @@ fn gate_row(section: &str, id: &str, fresh: f64, committed: &Committed, gated: &
     gated.push(key);
 }
 
-/// The per-row allocation gate, covering the tiled ladder and the
-/// scenario rows (whose rate comes from the `protocol_profile` block).
+/// The per-row allocation gate, covering the scenario rows and the
+/// tiled ladder.
 /// Allocation counts are deterministic (the `CountingAlloc` tally
 /// doesn't wobble with machine load the way wall-clock does), so the
 /// margin is a tight 1.5×: a steady-state alloc leak on the protocol
@@ -677,19 +570,6 @@ fn gate_allocs_row(section: &str, id: &str, fresh: f64, committed: &Committed) {
         "allocation regression at {section} {id}: {fresh:.3} allocs/event exceeds \
          1.5x the committed {base:.3}"
     );
-}
-
-fn layout_json(r: &LayoutRun) -> String {
-    format!(
-        "{{ \"seconds\": {:.4}, \"member_epochs_per_sec\": {:.0}, \"events\": {}, \
-         \"allocs_per_event\": {:.3}, \"bytes\": {}, \"bytes_per_epoch\": {:.0} }}",
-        r.seconds,
-        r.member_epochs_per_sec,
-        r.events,
-        r.allocs_per_event,
-        r.bytes,
-        r.bytes_per_epoch
-    )
 }
 
 /// Per-phase barrier cost of the run's best pass. `other_s` is the
@@ -766,7 +646,7 @@ fn main() {
     }
     let mut gated: Vec<String> = Vec::new();
 
-    // ------------------------------------------- layout comparison
+    // ---------------------------------------------------- scenarios
     let scenarios = [
         Scenario {
             n: 1_000,
@@ -792,65 +672,53 @@ fn main() {
     let mut smoke: Option<f64> = None;
     for s in &scenarios {
         let m = run_scenario(s);
-        let speedup = m.bitmap.member_epochs_per_sec / m.id_list.member_epochs_per_sec;
-        let byte_ratio = m.bitmap.bytes as f64 / m.id_list.bytes as f64;
         println!(
-            "N={:<6} degree {:4.1}  {:>5} clusters  {:>8} member-epochs\n\
-             \x20  bitmap : {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch\n\
-             \x20  id-list: {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch\n\
-             \x20  speedup {:.2}x, digest traffic at {:.0}% of id-list bytes",
+            "N={:<6} degree {:4.1}  {:>5} clusters  {:>8} member-epochs  \
+             {:8.3} s  {:>9.0} me/s  {:5.2} allocs/ev  {:>9.0} bytes/epoch",
             m.n,
             m.mean_degree,
             m.clusters,
             m.member_epochs,
-            m.bitmap.seconds,
-            m.bitmap.member_epochs_per_sec,
-            m.bitmap.allocs_per_event,
-            m.bitmap.bytes_per_epoch,
-            m.id_list.seconds,
-            m.id_list.member_epochs_per_sec,
-            m.id_list.allocs_per_event,
-            m.id_list.bytes_per_epoch,
-            speedup,
-            byte_ratio * 100.0
+            m.seconds,
+            m.member_epochs_per_sec,
+            m.profile.allocs_per_event,
+            m.bytes_per_epoch,
         );
         let id = format!("n={}", m.n);
         if check {
             gate_row(
                 "scenarios",
                 &id,
-                m.bitmap.member_epochs_per_sec,
+                m.member_epochs_per_sec,
                 &committed,
                 &mut gated,
             );
-            gate_allocs_row("scenarios", &id, m.bitmap.allocs_per_event, &committed);
+            gate_allocs_row("scenarios", &id, m.profile.allocs_per_event, &committed);
         }
         let baseline = committed
             .baseline("scenarios", &id)
-            .unwrap_or(m.bitmap.member_epochs_per_sec);
+            .unwrap_or(m.member_epochs_per_sec);
         rows.push(format!(
             "    {{ \"n\": {}, \"baseline_member_epochs_per_sec\": {:.0}, \"mean_degree\": {:.2}, \
-             \"clusters\": {}, \"epochs\": {}, \"member_epochs\": {},\n      \
-             \"bitmap\": {},\n      \"id_list\": {},\n      \
-             \"speedup\": {:.3}, \"byte_ratio\": {:.4},\n      {} }}",
+             \"clusters\": {}, \"epochs\": {},\n      \"member_epochs\": {}, \"seconds\": {:.4}, \
+             \"member_epochs_per_sec\": {:.0}, \"events\": {}, \"allocs_per_event\": {:.3},\n      \
+             \"bytes\": {}, \"bytes_per_epoch\": {:.0},\n      {} }}",
             m.n,
             baseline,
             m.mean_degree,
             m.clusters,
             m.epochs,
             m.member_epochs,
-            layout_json(&m.bitmap),
-            layout_json(&m.id_list),
-            speedup,
-            byte_ratio,
-            profile_json(&m.bitmap.profile)
+            m.seconds,
+            m.member_epochs_per_sec,
+            m.events,
+            m.profile.allocs_per_event,
+            m.bytes,
+            m.bytes_per_epoch,
+            profile_json(&m.profile)
         ));
         if m.n == 10_000 {
-            smoke = Some(
-                committed
-                    .baseline("scenarios", "n=10000")
-                    .unwrap_or(m.bitmap.member_epochs_per_sec),
-            );
+            smoke = Some(baseline);
         }
     }
 
@@ -970,9 +838,9 @@ fn main() {
     let smoke = smoke.expect("smoke scenario present");
     let json = format!(
         "{{\n  \"benchmark\": \"fds_protocol\",\n  \
-         \"workload\": \"full FDS (heartbeats, digests, updates, peer forwarding) on uniform fields; layout comparison at p=0.05, tiled scaling at p=0.01 (N-invariant per-node traffic)\",\n  \
+         \"workload\": \"full FDS (heartbeats, digests, updates, peer forwarding) on uniform fields; legacy-engine scenarios at p=0.05, tiled scaling at p=0.01 (N-invariant per-node traffic)\",\n  \
          \"smoke_baseline_member_epochs_per_sec\": {smoke:.0},\n  \
-         \"smoke_scenario\": \"n=10000 bitmap layout\",\n  \"scenarios\": [\n{}\n  ],\n\
+         \"smoke_scenario\": \"n=10000\",\n  \"scenarios\": [\n{}\n  ],\n\
          {report_dedup},\n  \
          \"tiled_scaling\": [\n{}\n  ],\n  \"tile_count_scaling\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),

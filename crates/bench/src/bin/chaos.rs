@@ -240,6 +240,17 @@ fn compare_detectors_mode(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every mode runs `--epochs` heartbeat intervals; a run of none has
+    // no deadline (`Experiment` panics on it), so refuse it up front.
+    if parse_flag::<u64>(&args, "--epochs") == Some(0) {
+        eprintln!(
+            "error: --epochs must be at least 1\n\
+             usage: chaos [--plans N] [--nodes N] [--epochs N] [--seed S] [--stride K] \
+             [--side F] [--baseline-p P] [--out PATH] \
+             | --replay FILE | --overhead | --compare-detectors [--check]"
+        );
+        return ExitCode::from(2);
+    }
     if args.iter().any(|a| a == "--compare-detectors") {
         return compare_detectors_mode(&args);
     }

@@ -332,6 +332,16 @@ fn main() -> ExitCode {
     let check = args.iter().any(|a| a == "--check");
     let config = config_from_args(&args);
     let epochs = config.epochs();
+    if epochs == 0 {
+        eprintln!(
+            "error: --hours {} at --phi-secs {} is zero epochs; a soak needs at least one\n\
+             usage: bench_soak [--nodes N] [--side F] [--hours H] [--phi-secs S] [--p P] \
+             [--seed S] [--snapshot-every E] [--stride K] [--campaign-plans N] \
+             [--out PATH] [--check]",
+            config.hours, config.phi_secs
+        );
+        return ExitCode::from(2);
+    }
 
     println!(
         "soak: {} nodes, {} simulated hour(s) at phi={} s ({} epochs), p={}, seed {:#x}",

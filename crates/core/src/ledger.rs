@@ -26,7 +26,7 @@
 //! All four structures implement [`Persist`] with encodings
 //! byte-identical to the collections they replaced (`Vec` of sorted
 //! items ≡ `BTreeSet`, `Vec` of sorted pairs ≡ `BTreeMap` ≡ key-sorted
-//! `HashMap`), so checkpoint FORMAT_VERSION 2 is unchanged and the
+//! `HashMap`), so the rewrite needed no checkpoint format bump and the
 //! checkpoint differential suite keeps passing on old workloads. The
 //! proptests at the bottom of this module pin each structure against
 //! its `std` model under random operation interleavings.

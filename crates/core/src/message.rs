@@ -686,23 +686,6 @@ impl FdsMsg {
             FdsMsg::Rejoin { .. } => 13,
         }
     }
-
-    /// Wire size in bytes under the pre-bitmap id-list layout (digests
-    /// carried `u16` count + `u32` per heard node; updates had no
-    /// roster-version field). Experiments record both layouts so the
-    /// energy model can compare them; nothing is actually encoded this
-    /// way any more.
-    pub fn legacy_encoded_len(&self) -> usize {
-        fn legacy_update_len(u: &HealthUpdate) -> usize {
-            update_len(u) - 4
-        }
-        match self {
-            FdsMsg::Digest(d) => 1 + 4 + ids_len(d.heard.count()) + 2 + 8 * d.readings.len(),
-            FdsMsg::HealthUpdate(u) => 1 + legacy_update_len(u),
-            FdsMsg::PeerForward { update, .. } => 1 + 4 + legacy_update_len(update),
-            other => other.encoded_len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -874,22 +857,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_len_counts_ids_not_words() {
+    fn digest_len_counts_words_not_ids() {
         let mut heard = RosterBitmap::new(0, 100);
         for pos in 0..40 {
             heard.set(pos);
         }
         let d = FdsMsg::Digest(Digest::new(NodeId(2), ClusterId::of(NodeId(3)), heard));
-        // New layout: header 15 + 2 words of bits. Old layout: 4 bytes
-        // per heard id.
+        // Header 15 + 2 words of bits, however many of them are set.
         assert_eq!(d.encoded_len(), 1 + 4 + 4 + 4 + 2 + 16 + 2);
-        assert_eq!(d.legacy_encoded_len(), 1 + 4 + 2 + 160 + 2);
-        // Sleep notices are identical in both layouts.
-        let s = FdsMsg::SleepNotice {
-            from: NodeId(3),
-            until_epoch: 7,
-        };
-        assert_eq!(s.legacy_encoded_len(), s.encoded_len());
     }
 
     fn suspicious_digest() -> FdsMsg {

@@ -82,10 +82,6 @@ pub struct NodeStats {
     pub joins_admitted: u64,
     /// Total wire bytes this node transmitted (per the message codec).
     pub bytes_sent: u64,
-    /// What [`NodeStats::bytes_sent`] would have been under the
-    /// pre-bitmap id-list wire layout — recorded per transmit so
-    /// experiments can compare the two layouts' energy cost.
-    pub bytes_sent_id_list: u64,
     /// Immediate report broadcasts the per-epoch forwarding ledger
     /// suppressed: the pre-dedup protocol would have re-sent the full
     /// pending set on every overheard trigger.
@@ -553,11 +549,9 @@ impl FdsNode {
         }
     }
 
-    /// Broadcasts `msg`, accounting its wire size under both the
-    /// bitmap layout (real) and the historical id-list layout.
+    /// Broadcasts `msg`, accounting its wire size in the byte ledger.
     fn transmit(&mut self, ctx: &mut Ctx<'_, FdsMsg>, msg: FdsMsg) {
         self.stats.bytes_sent += msg.encoded_len() as u64;
-        self.stats.bytes_sent_id_list += msg.legacy_encoded_len() as u64;
         ctx.broadcast(msg);
     }
 
@@ -1899,8 +1893,7 @@ cbfd_net::impl_persist!(DetectionEvent {
     takeover,
 });
 // Hand-written: `ledger_ops` is profiling state, not protocol state —
-// it stays out of the checkpoint so FORMAT_VERSION 2 encodings are
-// unchanged, and restores to zero.
+// it stays out of the checkpoint and restores to zero.
 impl cbfd_net::checkpoint::Persist for NodeStats {
     fn persist(&self, w: &mut cbfd_net::checkpoint::Writer) {
         self.updates_received.persist(w);
@@ -1911,7 +1904,6 @@ impl cbfd_net::checkpoint::Persist for NodeStats {
         self.updates_missed.persist(w);
         self.joins_admitted.persist(w);
         self.bytes_sent.persist(w);
-        self.bytes_sent_id_list.persist(w);
         self.reports_suppressed.persist(w);
         self.bytes_suppressed.persist(w);
     }
@@ -1927,7 +1919,6 @@ impl cbfd_net::checkpoint::Persist for NodeStats {
             updates_missed: u64::restore(r)?,
             joins_admitted: u64::restore(r)?,
             bytes_sent: u64::restore(r)?,
-            bytes_sent_id_list: u64::restore(r)?,
             reports_suppressed: u64::restore(r)?,
             bytes_suppressed: u64::restore(r)?,
             ledger_ops: 0,
@@ -2012,7 +2003,7 @@ impl cbfd_net::checkpoint::Persist for TimerPayload {
 // profiling counters (`clone_ops`) and the gateway scratch vec are
 // transient, stay out of the encoding, and restore to defaults — the
 // flat ledger types themselves encode byte-identically to the
-// collections they replaced, so FORMAT_VERSION 2 is unchanged.
+// collections they replaced.
 impl cbfd_net::checkpoint::Persist for FdsNode {
     fn persist(&self, w: &mut cbfd_net::checkpoint::Writer) {
         self.profile.persist(w);

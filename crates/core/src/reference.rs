@@ -6,11 +6,11 @@
 //! pass: digests carry `BTreeSet<NodeId>` heard-sets, round evidence
 //! is a pair of id-keyed collections, per-epoch state is rebuilt from
 //! scratch, and wire sizes are accounted with the historical id-list
-//! digest layout. It is **not** part of the service — its sole
-//! consumers are the differential test suite (which runs the same
+//! digest layout — the only place that layout is still known. It is
+//! **not** part of the service: its sole consumer is the differential
+//! test suite (`tests/differential_protocol.rs`), which runs the same
 //! seeded workload through both implementations and asserts identical
-//! verdicts, traces, and metrics) and the protocol benchmark (which
-//! uses it as the set-based baseline).
+//! verdicts, traces, and metrics.
 //!
 //! Nothing here should be "improved": fidelity to the old semantics is
 //! the whole point. Bug-for-bug equivalence with the optimized
@@ -167,10 +167,7 @@ fn update_len(u: &RefUpdate) -> usize {
 }
 
 impl RefMsg {
-    /// Wire size in bytes under the historical id-list codec — the
-    /// figure the optimized implementation tracks as
-    /// [`NodeStats::bytes_sent_id_list`], so the two runs'
-    /// byte ledgers can be cross-checked exactly.
+    /// Wire size in bytes under the historical id-list codec.
     pub fn encoded_len(&self) -> usize {
         match self {
             RefMsg::Heartbeat { reading, .. } => 1 + 4 + 1 + 1 + reading.map_or(0, |_| 4),
@@ -408,12 +405,10 @@ impl RefFdsNode {
         self.profile.cluster
     }
 
-    /// Broadcasts `msg`, accounting its historical wire size in both
-    /// byte ledgers (this implementation has only the id-list layout).
+    /// Broadcasts `msg`, accounting its historical (id-list) wire size
+    /// in the byte ledger.
     fn transmit(&mut self, ctx: &mut Ctx<'_, RefMsg>, msg: RefMsg) {
-        let len = msg.encoded_len() as u64;
-        self.stats.bytes_sent += len;
-        self.stats.bytes_sent_id_list += len;
+        self.stats.bytes_sent += msg.encoded_len() as u64;
         ctx.broadcast(msg);
     }
 
@@ -1175,8 +1170,7 @@ mod tests {
 
     #[test]
     fn ref_wire_sizes_match_the_id_list_codec() {
-        // Cross-check against the live codec's legacy accounting: a
-        // digest of k heard ids must cost 1+4+2+4k+2 bytes.
+        // A digest of k heard ids must cost 1+4+2+4k+2 bytes.
         let digest = RefMsg::Digest(RefDigest::new(n(2), [n(1), n(3), n(4)]));
         assert_eq!(digest.encoded_len(), 1 + 4 + 2 + 12 + 2);
         let hb = RefMsg::Heartbeat {

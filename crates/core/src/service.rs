@@ -83,12 +83,9 @@ pub struct FdsOutcome {
     /// Membership subscriptions honoured (unmarked nodes admitted to
     /// clusters during the run, feature F5).
     pub joins: u64,
-    /// Total wire bytes transmitted (per the message codec).
+    /// Total wire bytes transmitted, priced by the message codec's one
+    /// wire layout (DESIGN.md §12) — the only byte ledger a run keeps.
     pub bytes: u64,
-    /// What [`FdsOutcome::bytes`] would have been under the historical
-    /// id-list wire layout (digests as explicit node-id lists) — the
-    /// before/after comparison the bitmap layout is judged by.
-    pub bytes_id_list: u64,
     /// Standard deviation of remaining energy (energy balance).
     pub energy_imbalance: f64,
     /// Adaptive mode: suspicion episodes raised across all observers
@@ -251,8 +248,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if a planned crash names an out-of-range node or an
-    /// epoch beyond the run.
+    /// Panics if `epochs` is zero, or a planned crash names an
+    /// out-of-range node or an epoch beyond the run.
     pub fn run(&self, p: f64, epochs: u64, crashes: &[PlannedCrash], seed: u64) -> FdsOutcome {
         let radio = RadioConfig::bernoulli(p);
         self.run_full(radio, epochs, crashes, &[], seed)
@@ -340,6 +337,10 @@ impl Experiment {
     /// time — machine-generated schedules cannot abort a campaign.
     /// Ground-truth crash epochs for the outcome evaluation are
     /// derived from each victim's first crash instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` is zero.
     pub fn run_plan(
         &self,
         plan: &FaultPlan,
@@ -348,12 +349,18 @@ impl Experiment {
         observe: &mut dyn FnMut(&Simulator<FdsNode>, SimEvent),
     ) -> FdsOutcome {
         let mut sim = self.build_sim(RadioConfig::bernoulli(plan.baseline_p), seed);
-        for node in plan.join_targets() {
-            if node.index() < self.topology.len() {
-                sim.set_dormant(node);
-            }
-        }
+        self.mark_join_targets(&mut sim, plan);
         self.run_plan_on(&mut sim, plan, epochs, observe)
+    }
+
+    /// The one node factory behind every engine constructor and
+    /// [`Experiment::run_full`].
+    fn make_node(&self, id: NodeId) -> FdsNode {
+        FdsNode::new(
+            self.profiles[id.index()].clone(),
+            self.fds,
+            self.energy.initial,
+        )
     }
 
     /// Builds the simulator this experiment's run entry points use,
@@ -361,12 +368,7 @@ impl Experiment {
     /// via [`Simulator::checkpoint`], or handed to
     /// [`Experiment::run_plan_on`].
     pub fn build_sim(&self, radio: RadioConfig, seed: u64) -> Simulator<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
-        let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
-        });
+        let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| self.make_node(id));
         sim.set_energy_model(self.energy);
         sim
     }
@@ -375,12 +377,8 @@ impl Experiment {
     /// (per-node RNG streams — deterministic under tiling, unlike the
     /// legacy simulator's global stream).
     pub fn build_canonical_sim(&self, radio: RadioConfig, seed: u64) -> CanonicalSim<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
-        let mut sim = CanonicalSim::new(self.topology.clone(), radio, seed, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
-        });
+        let mut sim =
+            CanonicalSim::new(self.topology.clone(), radio, seed, |id| self.make_node(id));
         sim.set_energy_model(self.energy);
         sim
     }
@@ -395,11 +393,8 @@ impl Experiment {
         gx: u32,
         gy: u32,
     ) -> TiledSim<FdsNode> {
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
         let mut sim = TiledSim::new(self.topology.clone(), radio, seed, gx, gy, |id| {
-            FdsNode::new(profiles[id.index()].clone(), fds, capacity)
+            self.make_node(id)
         });
         sim.set_energy_model(self.energy);
         sim
@@ -415,21 +410,31 @@ impl Experiment {
         }
     }
 
-    /// [`Experiment::run_plan_on`] for any engine implementing both
-    /// [`PlanHost`] and [`FdsHost`]: identical crash-epoch ground
-    /// truth, identical plan segmentation (via
-    /// [`chaos::run_plan_quiet`]), identical scoring — but no
-    /// observer, so no invariant monitor can attach. Used by the
-    /// tiling differential suite and the large-N benchmarks.
-    pub fn run_plan_on_host<H: PlanHost + FdsHost>(
+    /// The last instant of a run of `epochs` heartbeat intervals: just
+    /// before epoch `epochs` would begin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` is zero — such a run would end before it
+    /// starts, and the subtraction would wrap to the end of time.
+    fn deadline(&self, epochs: u64) -> SimTime {
+        assert!(epochs > 0, "an FDS run needs at least one epoch, got 0");
+        SimTime::ZERO + self.fds.heartbeat_interval * epochs - SimDuration::from_micros(1)
+    }
+
+    /// The run deadline plus the ground-truth crash epoch of every
+    /// victim `plan` names (first crash instant wins; instants before
+    /// `start` saturate to it, out-of-range victims and instants past
+    /// the deadline are skipped) — shared by both plan entry points so
+    /// they score against the same truth.
+    fn plan_ground_truth(
         &self,
-        host: &mut H,
         plan: &FaultPlan,
         epochs: u64,
-    ) -> FdsOutcome {
+        start: SimTime,
+    ) -> (SimTime, BTreeMap<NodeId, u64>) {
         let phi = self.fds.heartbeat_interval;
-        let deadline = SimTime::ZERO + phi * epochs - SimDuration::from_micros(1);
-        let start = host.now();
+        let deadline = self.deadline(epochs);
         let mut crash_epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
         for (at, node) in plan.crash_schedule() {
             if node.index() < self.topology.len() && at <= deadline {
@@ -438,6 +443,26 @@ impl Experiment {
                 crash_epochs.entry(node).or_insert(epoch);
             }
         }
+        (deadline, crash_epochs)
+    }
+
+    /// [`Experiment::run_plan_on`] for any engine implementing both
+    /// [`PlanHost`] and [`FdsHost`]: identical crash-epoch ground
+    /// truth, identical plan segmentation (via
+    /// [`chaos::run_plan_quiet`]), identical scoring — but no
+    /// observer, so no invariant monitor can attach. Used by the
+    /// tiling differential suite and the large-N benchmarks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` is zero.
+    pub fn run_plan_on_host<H: PlanHost + FdsHost>(
+        &self,
+        host: &mut H,
+        plan: &FaultPlan,
+        epochs: u64,
+    ) -> FdsOutcome {
+        let (deadline, crash_epochs) = self.plan_ground_truth(plan, epochs, host.now());
         chaos::run_plan_quiet(host, plan, deadline);
         self.evaluate_host(host, epochs, &crash_epochs)
     }
@@ -447,6 +472,10 @@ impl Experiment {
     /// chaos campaign can fork many plans off one warmed-up snapshot.
     /// Plan instants that predate `sim.now()` saturate to now (both
     /// for scheduling and for the ground-truth crash epochs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epochs` is zero.
     pub fn run_plan_on(
         &self,
         sim: &mut Simulator<FdsNode>,
@@ -454,18 +483,7 @@ impl Experiment {
         epochs: u64,
         observe: &mut dyn FnMut(&Simulator<FdsNode>, SimEvent),
     ) -> FdsOutcome {
-        let phi = self.fds.heartbeat_interval;
-        let deadline = SimTime::ZERO + phi * epochs - SimDuration::from_micros(1);
-        let start = sim.now();
-        let mut crash_epochs: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for (at, node) in plan.crash_schedule() {
-            if node.index() < self.topology.len() && at <= deadline {
-                let at = at.max(start);
-                let epoch = (at.since(SimTime::ZERO).as_micros() / phi.as_micros()).min(epochs - 1);
-                crash_epochs.entry(node).or_insert(epoch);
-            }
-        }
-
+        let (deadline, crash_epochs) = self.plan_ground_truth(plan, epochs, sim.now());
         chaos::run_plan(sim, plan, deadline, observe);
         self.evaluate(sim, epochs, &crash_epochs)
     }
@@ -474,8 +492,9 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if a planned crash names an out-of-range node or an
-    /// epoch beyond the run, or a sleep plan is malformed.
+    /// Panics if `epochs` is zero, a planned crash names an
+    /// out-of-range node or an epoch beyond the run, or a sleep plan is
+    /// malformed.
     pub fn run_full(
         &self,
         radio: RadioConfig,
@@ -485,9 +504,7 @@ impl Experiment {
         seed: u64,
     ) -> FdsOutcome {
         let phi = self.fds.heartbeat_interval;
-        let profiles = self.profiles.clone();
-        let fds = self.fds;
-        let capacity = self.energy.initial;
+        let deadline = self.deadline(epochs);
         let mut sleep_plans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.topology.len()];
         for s in sleep {
             assert!(
@@ -501,7 +518,7 @@ impl Experiment {
             plan.sort_unstable();
         }
         let mut sim = Simulator::new(self.topology.clone(), radio, seed, |id| {
-            let mut node = FdsNode::new(profiles[id.index()].clone(), fds, capacity);
+            let mut node = self.make_node(id);
             if !sleep_plans[id.index()].is_empty() {
                 node.set_sleep_plan(sleep_plans[id.index()].clone());
             }
@@ -523,8 +540,7 @@ impl Experiment {
             crash_epochs.entry(c.node).or_insert(c.epoch);
         }
 
-        // Stop just before epoch `epochs` would begin.
-        sim.run_until(SimTime::ZERO + phi * epochs - SimDuration::from_micros(1));
+        sim.run_until(deadline);
 
         self.evaluate(&sim, epochs, &crash_epochs)
     }
@@ -567,7 +583,6 @@ impl Experiment {
         let mut member_epochs = 0;
         let mut joins = 0;
         let mut bytes = 0;
-        let mut bytes_id_list = 0;
         let mut suspicions_raised = 0;
         let mut suspicions_retracted = 0;
         let mut reports_suppressed = 0;
@@ -588,7 +603,6 @@ impl Experiment {
             retransmissions += s.retransmissions;
             joins += s.joins_admitted;
             bytes += s.bytes_sent;
-            bytes_id_list += s.bytes_sent_id_list;
             reports_suppressed += s.reports_suppressed;
             bytes_suppressed += s.bytes_suppressed;
             ledger_ops += s.ledger_ops;
@@ -671,7 +685,6 @@ impl Experiment {
             retransmissions,
             joins,
             bytes,
-            bytes_id_list,
             energy_imbalance: sim.energy_imbalance(),
             suspicions_raised,
             suspicions_retracted,
@@ -1013,6 +1026,15 @@ mod tests {
             }],
             1,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one epoch")]
+    fn zero_epoch_run_is_rejected() {
+        // Unchecked, the deadline `0·Φ − 1 µs` wraps to the end of time
+        // in release builds and the run never returns.
+        let exp = line_experiment(4, 50.0);
+        let _ = exp.run(0.0, 0, &[], 1);
     }
 
     #[test]

@@ -523,71 +523,9 @@ pub fn run_plan<A: Actor>(
     deadline: SimTime,
     observe: &mut dyn FnMut(&Simulator<A>, SimEvent),
 ) {
-    let n = sim.topology().len();
-    for (at, node) in plan.crash_schedule() {
-        if node.index() < n && at <= deadline {
-            sim.schedule_crash(node, at);
-        }
-    }
-    for (at, node, kind) in plan.churn_schedule() {
-        if node.index() >= n || at > deadline {
-            continue;
-        }
-        // The schedule_* APIs are saturating and no-op on nonsensical
-        // transitions, so any generated churn schedule is safe.
-        match kind {
-            "join" => {
-                sim.schedule_join(node, at);
-            }
-            "leave" => {
-                sim.schedule_leave(node, at);
-            }
-            _ => {
-                sim.schedule_rejoin(node, at);
-            }
-        }
-    }
-    for (at, action) in plan.window_actions() {
-        if at > deadline {
-            break;
-        }
-        // Windows are inclusive of `from`: run strictly *before* the
-        // action instant so transmissions at `at` itself already see
-        // the new channel state.
-        if at > sim.now() && at > SimTime::ZERO {
-            sim.run_until_observed(at - SimDuration::from_micros(1), observe);
-        }
-        apply_action(sim, &action, plan.baseline_p, n);
-    }
-    sim.run_until_observed(deadline, observe);
-}
-
-fn apply_action<A: Actor>(sim: &mut Simulator<A>, action: &Action, baseline_p: f64, n: usize) {
-    match action {
-        Action::Bernoulli { p, jitter } => {
-            sim.set_radio(RadioConfig::bernoulli(*p).with_jitter(*jitter));
-        }
-        Action::Burst { p_bad, p_gb, p_bg } => {
-            sim.set_radio(RadioConfig::new(Box::new(GilbertElliott::new(
-                baseline_p, *p_bad, *p_gb, *p_bg,
-            ))));
-        }
-        Action::RestoreRadio => sim.set_radio(RadioConfig::bernoulli(baseline_p)),
-        Action::PartitionOn(groups) => {
-            if groups.len() == n {
-                sim.set_partition(groups.clone());
-            }
-        }
-        Action::PartitionOff => sim.clear_partition(),
-        Action::LinkLagOn(a, b, lag) => {
-            if a.index() < n && b.index() < n {
-                sim.set_link_lag(*a, *b, *lag);
-            }
-        }
-        Action::LinkLagOff(a, b) => sim.remove_link_lag(*a, *b),
-        Action::ReplayOn(prob, lag) => sim.set_duplication(*prob, *lag),
-        Action::ReplayOff => sim.set_duplication(0.0, SimDuration::ZERO),
-    }
+    drive_plan(sim, plan, deadline, |sim, to| {
+        sim.run_until_observed(to, observe)
+    });
 }
 
 /// The engine surface a [`FaultPlan`] needs to drive a run: scheduling
@@ -693,12 +631,25 @@ where
     impl_plan_host_body!();
 }
 
-/// [`run_plan`] for any [`PlanHost`], without an observer: identical
-/// crash/churn compilation, identical window segmentation (run to
-/// `at − 1 µs`, apply, continue), identical final segment — so two
-/// hosts fed the same plan see byte-identical schedules and identical
-/// `run_until` split points.
+/// [`run_plan`] for any [`PlanHost`], without an observer. Both are
+/// thin callers of one driver, so two hosts fed the same plan see
+/// byte-identical schedules and identical `run_until` split points.
 pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: SimTime) {
+    drive_plan(host, plan, deadline, |host, to| host.run_until(to));
+}
+
+/// The one body that decides how a [`FaultPlan`] is executed: crashes
+/// and churn are compiled onto the event queue up front (skipping
+/// out-of-range nodes and instants past `deadline`), windowed faults
+/// are applied between run segments at their exact instants, and a
+/// final segment runs to `deadline`. `advance` is the only thing the
+/// entry points differ in — how the host is moved to an instant.
+fn drive_plan<H: PlanHost>(
+    host: &mut H,
+    plan: &FaultPlan,
+    deadline: SimTime,
+    mut advance: impl FnMut(&mut H, SimTime),
+) {
     let n = host.node_count();
     for (at, node) in plan.crash_schedule() {
         if node.index() < n && at <= deadline {
@@ -709,6 +660,8 @@ pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: Sim
         if node.index() >= n || at > deadline {
             continue;
         }
+        // The schedule_* APIs are saturating and no-op on nonsensical
+        // transitions, so any generated churn schedule is safe.
         match kind {
             "join" => host.schedule_join(node, at),
             "leave" => host.schedule_leave(node, at),
@@ -719,12 +672,15 @@ pub fn run_plan_quiet<H: PlanHost>(host: &mut H, plan: &FaultPlan, deadline: Sim
         if at > deadline {
             break;
         }
+        // Windows are inclusive of `from`: run strictly *before* the
+        // action instant so transmissions at `at` itself already see
+        // the new channel state.
         if at > host.now() && at > SimTime::ZERO {
-            host.run_until(at - SimDuration::from_micros(1));
+            advance(host, at - SimDuration::from_micros(1));
         }
         apply_action_on(host, &action, plan.baseline_p, n);
     }
-    host.run_until(deadline);
+    advance(host, deadline);
 }
 
 fn apply_action_on<H: PlanHost>(host: &mut H, action: &Action, baseline_p: f64, n: usize) {
@@ -1575,6 +1531,8 @@ mod tests {
         }
     }
 
+    crate::impl_persist!(Chatter { heard, pings });
+
     fn pair() -> Topology {
         Topology::from_positions(vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)], 100.0)
     }
@@ -1644,9 +1602,11 @@ mod tests {
 
     #[test]
     fn run_plan_is_deterministic() {
-        let config = cfg(2);
-        let run = |seed: u64| {
-            let plan = FaultPlan::generate(seed, &config);
+        let config = PlanConfig {
+            churn: true,
+            ..cfg(2)
+        };
+        let build = || {
             let mut sim =
                 Simulator::new(pair(), RadioConfig::bernoulli(config.baseline_p), 7, |_| {
                     Chatter {
@@ -1655,6 +1615,11 @@ mod tests {
                     }
                 });
             sim.enable_trace();
+            sim
+        };
+        let run = |seed: u64| {
+            let plan = FaultPlan::generate(seed, &config);
+            let mut sim = build();
             let mut events = Vec::new();
             run_plan(&mut sim, &plan, config.horizon, &mut |s, ev| {
                 events.push((s.now(), ev));
@@ -1666,9 +1631,26 @@ mod tests {
                 sim.trace().records().to_vec(),
             )
         };
+        let (mut churn, mut windows) = (false, false);
         for seed in 0..6 {
             assert_eq!(run(seed), run(seed), "seed {seed}");
+
+            // One driver, two entry points: a no-op observer and no
+            // observer at all leave byte-identical worlds behind.
+            let plan = FaultPlan::generate(seed, &config);
+            churn |= plan.has_churn();
+            windows |= !plan.window_actions().is_empty();
+            let mut observed = build();
+            run_plan(&mut observed, &plan, config.horizon, &mut |_, _| {});
+            let mut quiet = build();
+            run_plan_quiet(&mut quiet, &plan, config.horizon);
+            assert_eq!(
+                observed.checkpoint().expect("snapshot-capable channel"),
+                quiet.checkpoint().expect("snapshot-capable channel"),
+                "seed {seed}: run_plan and run_plan_quiet diverge"
+            );
         }
+        assert!(churn && windows, "seeds must cover churn and windows");
     }
 
     #[test]

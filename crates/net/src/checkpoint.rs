@@ -39,8 +39,10 @@ pub const MAGIC: [u8; 8] = *b"CBFDCKPT";
 /// (per-link estimators, suspicion log, gateway dedup ledger) joined
 /// `FdsNode`, and digests grew the optional suspicion field. Version-1
 /// snapshots cannot express that state, so the versions reject each
-/// other rather than misread trailing fields.
-pub const FORMAT_VERSION: u32 = 2;
+/// other rather than misread trailing fields; `3` — `NodeStats` lost
+/// its id-list shadow byte counter (8 bytes per node), so version-2
+/// node encodings no longer line up and are rejected the same way.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Errors surfaced while writing or reading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -638,16 +640,19 @@ mod tests {
             read_header(&mut Reader::new(&future.into_bytes())),
             Err(CheckpointError::UnsupportedVersion(FORMAT_VERSION + 1))
         );
-        // Mutual rejection across the v1 → v2 bump: a snapshot written
-        // by the pre-adaptive format must be refused by name, not
-        // misread (its FdsNode encoding lacks the adaptive fields).
-        let mut v1 = Writer::new();
-        v1.put_bytes(&MAGIC);
-        v1.put_u32(1);
-        assert_eq!(
-            read_header(&mut Reader::new(&v1.into_bytes())),
-            Err(CheckpointError::UnsupportedVersion(1))
-        );
+        // Mutual rejection across every bump (v1 → v2 added the
+        // adaptive fields to `FdsNode`, v2 → v3 took 8 bytes out of
+        // `NodeStats`): an older snapshot must be refused by name, not
+        // misread.
+        for old in 1..FORMAT_VERSION {
+            let mut w = Writer::new();
+            w.put_bytes(&MAGIC);
+            w.put_u32(old);
+            assert_eq!(
+                read_header(&mut Reader::new(&w.into_bytes())),
+                Err(CheckpointError::UnsupportedVersion(old))
+            );
+        }
         assert_eq!(
             read_header(&mut Reader::new(b"CB")),
             Err(CheckpointError::Truncated)

@@ -11,8 +11,8 @@
 //! byte-identical across every engine × grid × worker combination:
 //! the event trace, the traffic metrics, per-node remaining energy
 //! (exact f64 bits), the FDS verdict (false detections, missed
-//! failures, completeness, detection latencies), and both wire-byte
-//! ledgers (bitmap and id-list shadow).
+//! failures, completeness, detection latencies), and the wire-byte
+//! ledger.
 //!
 //! This is the determinism-contract extension of DESIGN.md §14: the
 //! spatial partition and the thread schedule are pure execution
@@ -213,7 +213,7 @@ fn aggregate_byte_ledgers_agree_across_engines() {
     let canonical = run_canonical(&w);
     let tiled = run_tiled(&w, 3, 2, 2);
     let sum = |fp: &Fingerprint, key: &str| -> u64 {
-        // NodeStats Debug renders `bytes_sent: N` / `bytes_sent_id_list: N`.
+        // NodeStats Debug renders `bytes_sent: N`.
         fp.nodes
             .iter()
             .map(|s| {
@@ -231,8 +231,4 @@ fn aggregate_byte_ledgers_agree_across_engines() {
     let bytes = sum(&canonical, "bytes_sent:");
     assert!(bytes > 0, "workload transmitted nothing");
     assert_eq!(bytes, sum(&tiled, "bytes_sent:"));
-    assert_eq!(
-        sum(&canonical, "bytes_sent_id_list:"),
-        sum(&tiled, "bytes_sent_id_list:")
-    );
 }
