@@ -56,8 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A `System` wrapper counting heap allocations, so allocations per
-/// simulated event can be reported honestly (same device as
-/// `bench_engine`).
+/// simulated event can be reported honestly.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);

@@ -5,12 +5,10 @@
 //!
 //! * the binary can run them at full parallelism
 //!   ([`cbfd_net::par::default_workers`], overridable via
-//!   `CBFD_WORKERS`),
+//!   `CBFD_WORKERS`), and
 //! * the regression suite can run the same sweep with `workers` ∈
 //!   {1, 2, max} and assert **byte-identical** results (the
-//!   determinism contract of [`cbfd_net::par`]), and
-//! * `bench_parallel` can time the identical workload at different
-//!   worker counts.
+//!   determinism contract of [`cbfd_net::par`]).
 //!
 //! All fan-out goes through [`cbfd_net::par::par_map`]; randomness is
 //! derived per work item, never shared, so results depend only on the

@@ -410,9 +410,3 @@ pub fn replay(
     let (outcome, monitor) = run_monitored(&exp, &plan, config.epochs, seed, 1);
     Ok((outcome, monitor, plan))
 }
-
-/// A tiny smoke helper used by tests: true iff no plan in the
-/// campaign produced a hard violation.
-pub fn campaign_is_clean(report: &CampaignReport) -> bool {
-    report.failing() == 0
-}

@@ -284,12 +284,6 @@ impl ClusterView {
         None
     }
 
-    /// Exclusive access to a cluster (for failure handling: deputy
-    /// promotion, member removal).
-    pub fn cluster_mut(&mut self, id: ClusterId) -> Option<&mut Cluster> {
-        self.clusters.get_mut(&id)
-    }
-
     /// Records that `node` joined `cluster` (used by open-ended
     /// formation iterations, F4).
     ///

@@ -328,16 +328,6 @@ impl FdsNode {
         &self.suspicions
     }
 
-    /// Members this node's adaptive detector currently suspects but
-    /// has not condemned (sorted; empty under `DetectionMode::Fixed`).
-    pub fn suspected_now(&self) -> Vec<NodeId> {
-        self.adaptive
-            .iter()
-            .filter(|(_, est)| est.is_suspected())
-            .map(|(n, _)| *n)
-            .collect()
-    }
-
     /// Behaviour counters.
     pub fn stats(&self) -> &NodeStats {
         &self.stats

@@ -255,17 +255,6 @@ impl Experiment {
         self.run_full(radio, epochs, crashes, &[], seed)
     }
 
-    /// Like [`Experiment::run`] with full control over the channel.
-    pub fn run_with_radio(
-        &self,
-        radio: RadioConfig,
-        epochs: u64,
-        crashes: &[PlannedCrash],
-        seed: u64,
-    ) -> FdsOutcome {
-        self.run_full(radio, epochs, crashes, &[], seed)
-    }
-
     /// Like [`Experiment::run`], additionally applying a sleep
     /// schedule (nodes with radios off per [`PlannedSleep`] windows).
     pub fn run_with_sleep(

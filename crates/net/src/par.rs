@@ -197,16 +197,6 @@ where
     });
 }
 
-/// [`par_map`] with the [`default_workers`] count.
-pub fn par_map_default<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map(default_workers(), items, f)
-}
-
 /// Splits a trial budget into fixed-size shards, independent of the
 /// worker count.
 ///

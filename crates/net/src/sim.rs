@@ -618,11 +618,6 @@ impl<A: Actor> Simulator<A> {
         }
     }
 
-    /// Removes all per-link lags.
-    pub fn clear_link_lags(&mut self) {
-        self.link_lag.clear();
-    }
-
     /// Duplicates each surviving copy with probability `probability`,
     /// delivering the duplicate `lag` later than the original — a
     /// stale-replay fault the paper's channel model excludes. A
@@ -1999,5 +1994,86 @@ mod tests {
             );
         }
         assert!(Simulator::<Chatter>::restore(&bytes).is_ok());
+    }
+
+    thread_local! {
+        /// Deep copies of [`Digest`] payloads, counted by `Clone`
+        /// itself: only the engine could copy one.
+        static PAYLOAD_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A payload shaped like the FDS digest: 32 inline words.
+    #[derive(Debug)]
+    struct Digest([u64; 32]);
+
+    impl Clone for Digest {
+        fn clone(&self) -> Self {
+            PAYLOAD_CLONES.with(|c| c.set(c.get() + 1));
+            Digest(self.0)
+        }
+    }
+
+    /// Broadcasts a digest every 10 ms, phase-staggered by node id.
+    struct Beacon(NodeId);
+
+    impl Actor for Beacon {
+        type Msg = Digest;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Digest>) {
+            let phase = u64::from(self.0 .0 % 10);
+            ctx.set_timer(SimDuration::from_millis(10 + phase), TimerToken(1));
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Digest>, _from: NodeId, _msg: &Digest) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Digest>, token: TimerToken) {
+            ctx.broadcast(Digest([u64::from(self.0 .0); 32]));
+            ctx.set_timer(SimDuration::from_millis(10), token);
+        }
+    }
+
+    /// Runs `run` with the clone counter zeroed and returns the clones
+    /// it made.
+    fn count_clones(run: impl FnOnce()) -> u64 {
+        PAYLOAD_CLONES.with(|c| c.set(0));
+        run();
+        PAYLOAD_CLONES.with(|c| c.get())
+    }
+
+    #[test]
+    fn broadcast_fan_out_does_not_clone_payloads_per_receiver() {
+        use crate::geometry::Rect;
+        use crate::placement::Placement;
+        use crate::tiled::TiledSim;
+
+        // 200 nodes at mean degree ≈ 20, lossy and jittered, with one
+        // lagged link and one crash so every delivery path runs.
+        let mut rng = StdRng::seed_from_u64(0xB37C);
+        let positions = Placement::UniformRect(Rect::square(560.0)).generate(200, &mut rng);
+        let topology = Topology::from_positions(positions, 100.0);
+        let radio = || RadioConfig::bernoulli(0.1).with_jitter(SimDuration::from_micros(500));
+        let lagged = (NodeId(0), topology.neighbors(NodeId(0))[0]);
+        let (crashed, crash_at) = (NodeId(97), SimTime::from_millis(100));
+        let end = SimTime::from_millis(200);
+
+        // The legacy engine hands every receiver a shared payload.
+        let mut sim = Simulator::new(topology.clone(), radio(), 7, Beacon);
+        sim.set_link_lag(lagged.0, lagged.1, SimDuration::from_millis(3));
+        sim.schedule_crash(crashed, crash_at);
+        let clones = count_clones(|| sim.run_until(end));
+        assert!(sim.metrics().deliveries > 0);
+        assert_eq!(clones, 0, "Simulator copied a broadcast payload");
+
+        // The tiled engine copies a payload only to carry it into a
+        // foreign tile: at most once per (transmission, other tile).
+        let (gx, gy) = (2, 2);
+        let mut tiled = TiledSim::new(topology, radio(), 7, gx, gy, Beacon);
+        tiled.set_link_lag(lagged.0, lagged.1, SimDuration::from_millis(3));
+        tiled.schedule_crash(crashed, crash_at);
+        let clones = count_clones(|| tiled.run_until(end));
+        let m = tiled.metrics();
+        assert!(m.deliveries > 0);
+        assert!(
+            clones <= m.transmissions * u64::from(gx * gy - 1),
+            "TiledSim made {clones} payload clones for {} transmissions",
+            m.transmissions
+        );
     }
 }

@@ -1970,21 +1970,6 @@ impl<A: Actor> TiledSim<A> {
         (self.grid.gx(), self.grid.gy())
     }
 
-    /// Number of tiles.
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// The tile owning `node`.
-    pub fn tile_of_node(&self, node: NodeId) -> u32 {
-        self.tile_of[node.index()]
-    }
-
-    /// The synchronization-window width (the radio's base delay).
-    pub fn window_width(&self) -> SimDuration {
-        self.delay
-    }
-
     /// Replaces the energy model (all nodes reset to full charge).
     pub fn set_energy_model(&mut self, model: EnergyModel) {
         self.model = model;

@@ -40,7 +40,7 @@ if grep -q '^\[profile\.release' Cargo.toml; then
 fi
 
 echo "preflight: $head in $work/repo, --seconds $seconds"
-cargo test --offline -q --manifest-path benchmark/Cargo.toml || fail "benchmark harness tests"
+cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml || fail "benchmark harness tests"
 
 while read -r workload seed trace expected; do
     out="$(bash benchmark/bench.sh --workload "$workload" --seed "$seed" \
