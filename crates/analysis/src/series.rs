@@ -2,11 +2,10 @@
 //!
 //! Every figure of Section 5 sweeps the message-loss probability
 //! `p ∈ {0.05, 0.10, …, 0.50}` for cluster populations
-//! `N ∈ {50, 75, 100}`; these helpers regenerate those series (plus
-//! the extension studies E4/E5) as plain data that the bench harness
-//! prints and writes to CSV.
+//! `N ∈ {50, 75, 100}`; these helpers regenerate those series as
+//! plain data.
 
-use crate::{ch_false_detection, dch_reach, false_detection, incompleteness, intercluster};
+use crate::{ch_false_detection, false_detection, incompleteness};
 use serde::{Deserialize, Serialize};
 
 /// The paper's cluster populations.
@@ -43,43 +42,6 @@ pub fn fig7() -> Vec<FigPoint> {
     sweep(incompleteness::worst_case)
 }
 
-/// E4: worst-case DCH miss probability as a function of the deputy's
-/// displacement `d/R ∈ {0.0, 0.1, …, 1.0}`, one series per population
-/// (at the paper's mid-range loss `p = 0.25`). The `p` field of each
-/// point carries the displacement.
-pub fn dch_reachability() -> Vec<FigPoint> {
-    let mut points = Vec::new();
-    for &n in &POPULATIONS {
-        for i in 0..=10 {
-            let d = i as f64 / 10.0;
-            points.push(FigPoint {
-                n,
-                p: d,
-                value: dch_reach::worst_case_miss(n, 0.25, d),
-            });
-        }
-    }
-    points
-}
-
-/// E5: inter-cluster forwarding failure probability vs `p`, one series
-/// per backup-gateway count `n ∈ {0, …, 4}` (two attempts, two head
-/// retransmissions). The `n` field of each point carries the backup
-/// count.
-pub fn intercluster_reliability() -> Vec<FigPoint> {
-    let mut points = Vec::new();
-    for backups in 0..=4u64 {
-        for p in loss_grid() {
-            points.push(FigPoint {
-                n: backups,
-                p,
-                value: intercluster::failure_probability(p, backups as u32, 2, 2),
-            });
-        }
-    }
-    points
-}
-
 fn sweep(f: impl Fn(u64, f64) -> f64) -> Vec<FigPoint> {
     let mut points = Vec::new();
     for &n in &POPULATIONS {
@@ -92,15 +54,6 @@ fn sweep(f: impl Fn(u64, f64) -> f64) -> Vec<FigPoint> {
         }
     }
     points
-}
-
-/// Renders a series as CSV with the given value-column header.
-pub fn to_csv(points: &[FigPoint], value_name: &str) -> String {
-    let mut out = format!("n,p,{value_name}\n");
-    for pt in points {
-        out.push_str(&format!("{},{:.2},{:e}\n", pt.n, pt.p, pt.value));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -130,20 +83,5 @@ mod tests {
         for (a, b) in fig5().iter().zip(fig6()) {
             assert!(b.value <= a.value, "n={} p={}", a.n, a.p);
         }
-    }
-
-    #[test]
-    fn csv_is_well_formed() {
-        let csv = to_csv(&fig5(), "p_false_detection");
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 31);
-        assert_eq!(lines[0], "n,p,p_false_detection");
-        assert!(lines[1].starts_with("50,0.05,"));
-    }
-
-    #[test]
-    fn extension_series_are_populated() {
-        assert_eq!(dch_reachability().len(), 33);
-        assert_eq!(intercluster_reliability().len(), 50);
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::campaign::{build_experiment, run_monitored, CampaignConfig};
 use cbfd_cluster::Role;
+use cbfd_core::adaptive;
 use cbfd_core::config::{DetectionMode, FdsConfig};
 use cbfd_core::service::Experiment;
 use cbfd_net::chaos::{FaultPlan, FaultPrimitive};
@@ -49,23 +50,16 @@ pub struct ComparisonConfig {
     /// retraction-aware residuals; hard violations are reported, not
     /// gated).
     pub stride: u64,
-    /// Adaptive-detector knobs applied on top of the defaults.
-    pub adaptive: FdsConfig,
 }
 
 impl Default for ComparisonConfig {
     fn default() -> Self {
-        let adaptive = FdsConfig {
-            detection_mode: DetectionMode::Adaptive,
-            ..FdsConfig::default()
-        };
         ComparisonConfig {
             nodes: 60,
             side: 400.0,
             epochs: 24,
             master_seed: 0xDE7EC7,
             stride: 64,
-            adaptive,
         }
     }
 }
@@ -139,21 +133,15 @@ impl ComparisonReport {
         out.push_str(&format!("  \"epochs\": {},\n", c.epochs));
         out.push_str(&format!("  \"master_seed\": {},\n", c.master_seed));
         out.push_str(&format!("  \"stride\": {},\n", c.stride));
-        out.push_str(&format!(
-            "  \"adaptive_window\": {},\n",
-            c.adaptive.adaptive_window
-        ));
-        out.push_str(&format!(
-            "  \"adaptive_slack\": {},\n",
-            c.adaptive.adaptive_slack
-        ));
+        out.push_str(&format!("  \"adaptive_window\": {},\n", adaptive::WINDOW));
+        out.push_str(&format!("  \"adaptive_slack\": {},\n", adaptive::SLACK));
         out.push_str(&format!(
             "  \"adaptive_suspect_millis\": {},\n",
-            c.adaptive.adaptive_suspect_millis
+            adaptive::SUSPECT_MILLIS
         ));
         out.push_str(&format!(
             "  \"adaptive_condemn_millis\": {},\n",
-            c.adaptive.adaptive_condemn_millis
+            adaptive::CONDEMN_MILLIS
         ));
         out.push_str(&format!("  \"clusters\": {},\n", self.clusters));
         out.push_str("  \"regimes\": [\n");
@@ -373,7 +361,10 @@ pub fn run_comparison(config: &ComparisonConfig) -> ComparisonReport {
     let base = base_campaign(config);
     let fixed_exp = build_experiment(&base);
     let adaptive_exp = build_experiment(&CampaignConfig {
-        fds: config.adaptive,
+        fds: FdsConfig {
+            detection_mode: DetectionMode::Adaptive,
+            ..FdsConfig::default()
+        },
         ..base.clone()
     });
     assert_eq!(

@@ -125,39 +125,6 @@ impl Cluster {
             .position(|d| *d == node)
             .map(|i| (i + 1) as u8)
     }
-
-    /// Promotes the highest-ranked deputy after a head failure: the
-    /// failed head is removed from the membership, the deputy becomes
-    /// head, and the cluster keeps its identity. Returns the new head,
-    /// or `None` if no deputy is available.
-    pub fn promote_deputy(&mut self) -> Option<NodeId> {
-        let new_head = self.deputies.first().copied()?;
-        self.deputies.remove(0);
-        if let Ok(i) = self.members.binary_search(&self.head) {
-            self.members.remove(i);
-        }
-        self.head = new_head;
-        Some(new_head)
-    }
-
-    /// Removes `node` from the membership (and the deputy list).
-    /// Returns true if it was a member. Removing the head is rejected;
-    /// use [`Cluster::promote_deputy`] for head succession.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is the current head.
-    pub fn remove_member(&mut self, node: NodeId) -> bool {
-        assert!(node != self.head, "use promote_deputy to replace the head");
-        self.deputies.retain(|d| *d != node);
-        match self.members.binary_search(&node) {
-            Ok(i) => {
-                self.members.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,39 +193,5 @@ mod tests {
         assert_eq!(c.deputy_rank(NodeId(4)), Some(2));
         assert_eq!(c.deputy_rank(NodeId(8)), None);
         assert_eq!(c.first_deputy(), Some(NodeId(6)));
-    }
-
-    #[test]
-    fn promotion_replaces_head_and_keeps_identity() {
-        let mut c = cluster();
-        let old_id = c.id();
-        assert_eq!(c.promote_deputy(), Some(NodeId(6)));
-        assert_eq!(c.head(), NodeId(6));
-        assert_eq!(c.id(), old_id, "cluster keeps its founding identity");
-        assert!(!c.contains(NodeId(2)), "failed head removed");
-        assert_eq!(c.first_deputy(), Some(NodeId(4)));
-    }
-
-    #[test]
-    fn promotion_without_deputies_fails() {
-        let mut c = Cluster::new(NodeId(1), vec![NodeId(1), NodeId(2)], vec![]);
-        assert_eq!(c.promote_deputy(), None);
-        assert_eq!(c.head(), NodeId(1));
-    }
-
-    #[test]
-    fn remove_member_updates_deputies() {
-        let mut c = cluster();
-        assert!(c.remove_member(NodeId(6)));
-        assert!(!c.contains(NodeId(6)));
-        assert_eq!(c.first_deputy(), Some(NodeId(4)));
-        assert!(!c.remove_member(NodeId(99)));
-    }
-
-    #[test]
-    #[should_panic(expected = "use promote_deputy")]
-    fn remove_head_is_rejected() {
-        let mut c = cluster();
-        c.remove_member(NodeId(2));
     }
 }

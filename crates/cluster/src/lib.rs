@@ -14,8 +14,8 @@
 //! * **F4** — formation is open-ended: new (unmarked) hosts are
 //!   admitted by simply running further iterations;
 //! * **F5** — the first formation round can merge with the failure
-//!   detection service's heartbeat round (implemented by the FDS crate
-//!   on top of [`maintenance`]).
+//!   detection service's heartbeat round (implemented by the FDS crate:
+//!   an acting head admits unmarked nodes whose heartbeats it hears).
 //!
 //! Two interchangeable implementations are provided:
 //!
@@ -46,7 +46,6 @@
 
 pub mod cluster;
 pub mod invariants;
-pub mod maintenance;
 pub mod oracle;
 pub mod protocol;
 pub mod role;

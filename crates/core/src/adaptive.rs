@@ -19,17 +19,17 @@
 //!   deadline`, so 1000 means "one full deadline of silence". All
 //!   arithmetic is integral over epoch counters — no floats, so the
 //!   score is byte-deterministic across platforms and worker counts;
-//! * two thresholds from [`FdsConfig`](crate::config::FdsConfig):
-//!   `adaptive_suspect_millis` marks the link *suspected* (retractable,
+//! * two thresholds, the constants of this module:
+//!   [`SUSPECT_MILLIS`] marks the link *suspected* (retractable,
 //!   gossiped via the optional digest suspicion field), and
-//!   `adaptive_condemn_millis` lets an authority condemn. Evidence
+//!   [`CONDEMN_MILLIS`] lets an authority condemn. Evidence
 //!   arriving while suspected retracts the suspicion (◇P
 //!   self-correction) and — crucially — records the longer gap, so the
 //!   link is trusted for longer next time and the same burst cannot
 //!   re-trip it.
 //!
 //! Bounded state: one estimator per live roster member, each holding at
-//! most `adaptive_window` gap samples; estimators of condemned or
+//! most [`WINDOW`] gap samples; estimators of condemned or
 //! departed members are pruned by the node's ledger GC. The node keeps
 //! them **id-keyed** (a flat `ledger::SortedMap<NodeId, LinkEstimator>`,
 //! never roster-position-keyed): positions renumber when roster
@@ -40,6 +40,25 @@
 //! roster position).
 
 use cbfd_net::id::NodeId;
+
+/// Gap samples kept per monitored link (the bounded ring of the
+/// ADD-channel estimator).
+pub const WINDOW: u32 = 8;
+
+/// Epochs of slack added to the largest observed gap when computing a
+/// link's deadline.
+pub const SLACK: u64 = 1;
+
+/// Accrual score (milli-deadlines of silence) at which a link becomes
+/// *suspected*: retractable, gossiped via the digest suspicion field.
+/// 1000 = one full deadline.
+pub const SUSPECT_MILLIS: u64 = 1000;
+
+/// Accrual score at which an authority condemns: two deadlines, or 1.5
+/// with one epoch of corroboration.
+pub const CONDEMN_MILLIS: u64 = 2000;
+
+const _: () = assert!(WINDOW > 0 && SUSPECT_MILLIS > 0 && CONDEMN_MILLIS >= SUSPECT_MILLIS);
 
 /// One milli-unit accrual bonus granted when at least one peer's digest
 /// corroborates the suspicion this epoch: half a deadline. Corroborated

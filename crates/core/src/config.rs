@@ -39,6 +39,14 @@ impl Persist for DetectionMode {
     }
 }
 
+/// Maximum peer-forwarding back-off slots per request (each slot lasts
+/// `t_hop`).
+pub const PEER_FORWARD_SLOTS: u32 = 8;
+
+/// Maximum clusterhead retransmissions of an un-acknowledged update
+/// toward a gateway (implicit-ack timeouts of `2·Thop`).
+pub const MAX_RETRANSMITS: u32 = 2;
+
 /// Tunables of the FDS protocol (Section 4 of the paper).
 ///
 /// The boolean switches exist for the ablation experiments called out
@@ -78,12 +86,6 @@ pub struct FdsConfig {
     /// Whether failure reports also carry previously detected failures
     /// (lets clusters that missed an earlier report catch up).
     pub cumulative_reports: bool,
-    /// Maximum peer-forwarding back-off slots per request (each slot
-    /// lasts `t_hop`).
-    pub peer_forward_slots: u32,
-    /// Maximum clusterhead retransmissions of an un-acknowledged
-    /// update toward a gateway (implicit-ack timeouts of `2·Thop`).
-    pub max_retransmits: u32,
     /// Whether the acting head admits unmarked nodes whose heartbeats
     /// it hears, treating them as membership subscriptions (the group
     /// membership side of feature F5).
@@ -112,34 +114,9 @@ pub struct FdsConfig {
     /// (keep everything forever).
     pub retention_epochs: u64,
     /// Which failure rule condemns: the paper's fixed three-round
-    /// silence rule, or the adaptive ◇P accrual detector.
+    /// silence rule, or the adaptive ◇P accrual detector (whose
+    /// thresholds are the constants of [`crate::adaptive`]).
     pub detection_mode: DetectionMode,
-    /// Adaptive mode: gap samples kept per monitored link (the bounded
-    /// ring of the ADD-channel estimator). Ignored under `Fixed`.
-    pub adaptive_window: u32,
-    /// Adaptive mode: epochs of slack added to the largest observed
-    /// gap when computing a link's deadline.
-    pub adaptive_slack: u64,
-    /// Adaptive mode: accrual score (milli-deadlines of silence) at
-    /// which a link becomes *suspected* — retractable, gossiped via
-    /// the digest suspicion field. 1000 = one full deadline.
-    pub adaptive_suspect_millis: u64,
-    /// Adaptive mode: accrual score at which an authority condemns.
-    /// Must be at least `adaptive_suspect_millis`.
-    pub adaptive_condemn_millis: u64,
-}
-
-fn default_adaptive_window() -> u32 {
-    8
-}
-fn default_adaptive_slack() -> u64 {
-    1
-}
-fn default_adaptive_suspect() -> u64 {
-    1000
-}
-fn default_adaptive_condemn() -> u64 {
-    2000
 }
 
 impl Default for FdsConfig {
@@ -153,18 +130,12 @@ impl Default for FdsConfig {
             promiscuous_recovery: true,
             bgw_assist: true,
             cumulative_reports: true,
-            peer_forward_slots: 8,
-            max_retransmits: 2,
             admit_unmarked: true,
             sleep_announcements: true,
             aggregation: false,
             energy_balanced_forwarding: true,
             retention_epochs: 64,
             detection_mode: DetectionMode::Fixed,
-            adaptive_window: default_adaptive_window(),
-            adaptive_slack: default_adaptive_slack(),
-            adaptive_suspect_millis: default_adaptive_suspect(),
-            adaptive_condemn_millis: default_adaptive_condemn(),
         }
     }
 }
@@ -181,26 +152,12 @@ impl FdsConfig {
         if self.t_hop.is_zero() {
             return Err("t_hop must be positive".into());
         }
-        let occupied = self.t_hop * (4 + u64::from(self.peer_forward_slots));
+        let occupied = self.t_hop * (4 + u64::from(PEER_FORWARD_SLOTS));
         if self.heartbeat_interval < occupied {
             return Err(format!(
                 "heartbeat interval {} too short for protocol phases {}",
                 self.heartbeat_interval, occupied
             ));
-        }
-        if self.detection_mode == DetectionMode::Adaptive {
-            if self.adaptive_window == 0 {
-                return Err("adaptive_window must be at least 1".into());
-            }
-            if self.adaptive_suspect_millis == 0 {
-                return Err("adaptive_suspect_millis must be positive".into());
-            }
-            if self.adaptive_condemn_millis < self.adaptive_suspect_millis {
-                return Err(format!(
-                    "adaptive_condemn_millis {} below adaptive_suspect_millis {}",
-                    self.adaptive_condemn_millis, self.adaptive_suspect_millis
-                ));
-            }
         }
         Ok(())
     }
@@ -251,23 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_thresholds_are_validated() {
-        let mut config = FdsConfig {
-            detection_mode: DetectionMode::Adaptive,
-            ..FdsConfig::default()
-        };
-        assert_eq!(config.validate(), Ok(()));
-        config.adaptive_window = 0;
-        assert!(config.validate().is_err());
-        config.adaptive_window = 4;
-        config.adaptive_condemn_millis = config.adaptive_suspect_millis - 1;
-        assert!(config.validate().is_err());
-        // Fixed mode never looks at the adaptive tunables.
-        config.detection_mode = DetectionMode::Fixed;
-        assert_eq!(config.validate(), Ok(()));
-    }
-
-    #[test]
     fn round_offsets_are_multiples_of_t_hop() {
         let c = FdsConfig::default();
         assert_eq!(c.r2_offset(), c.t_hop);
@@ -284,16 +224,10 @@ cbfd_net::impl_persist!(FdsConfig {
     promiscuous_recovery,
     bgw_assist,
     cumulative_reports,
-    peer_forward_slots,
-    max_retransmits,
     admit_unmarked,
     sleep_announcements,
     aggregation,
     energy_balanced_forwarding,
     retention_epochs,
     detection_mode,
-    adaptive_window,
-    adaptive_slack,
-    adaptive_suspect_millis,
-    adaptive_condemn_millis,
 });

@@ -77,7 +77,6 @@ pub mod message;
 pub mod node;
 pub mod peer_forward;
 pub mod profile;
-pub mod properties;
 pub mod reference;
 pub mod rules;
 pub mod service;

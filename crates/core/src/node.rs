@@ -15,10 +15,10 @@
 //! The actor consumes only node-local knowledge (its
 //! [`NodeProfile`]) plus what it hears on the air.
 
-use crate::adaptive::{LinkEstimator, SuspicionEvent, CORROBORATION_BONUS_MILLIS};
+use crate::adaptive::{self, LinkEstimator, SuspicionEvent, CORROBORATION_BONUS_MILLIS};
 use crate::aggregation::{synthetic_reading, Aggregate, ReadingTable};
 use crate::bitmap::RosterBitmap;
-use crate::config::{DetectionMode, FdsConfig};
+use crate::config::{DetectionMode, FdsConfig, MAX_RETRANSMITS, PEER_FORWARD_SLOTS};
 use crate::ledger::{ClusterLedger, SortedMap, SortedSet, TimerRing};
 use crate::message::{report_wire_len, Digest, FailureReport, FdsMsg, HealthUpdate};
 use crate::peer_forward::waiting_period;
@@ -745,10 +745,6 @@ impl FdsNode {
         self.adaptive_observed_epoch = self.epoch;
         self.expected_mask();
         let epoch = self.epoch;
-        let window = self.config.adaptive_window;
-        let slack = self.config.adaptive_slack;
-        let suspect_at = self.config.adaptive_suspect_millis;
-        let condemn_at = self.config.adaptive_condemn_millis;
         for p in 0..self.roster_order.len() {
             if !self.expected_scratch.contains(p) {
                 continue;
@@ -762,7 +758,7 @@ impl FdsNode {
                 self.stats.ledger_ops += 1;
             }
             if heard {
-                if est.record_evidence(epoch, window) {
+                if est.record_evidence(epoch, adaptive::WINDOW) {
                     // ◇P self-correction: late evidence retracts the
                     // standing suspicion, and the gap just recorded
                     // lengthens the deadline so the same outage depth
@@ -771,11 +767,11 @@ impl FdsNode {
                 }
                 continue;
             }
-            let mut score = est.score_millis(epoch, slack);
+            let mut score = est.score_millis(epoch, adaptive::SLACK);
             if self.peer_suspects.contains(&subject) {
                 score = score.saturating_add(CORROBORATION_BONUS_MILLIS);
             }
-            if score >= suspect_at && !est.is_suspected() {
+            if score >= adaptive::SUSPECT_MILLIS && !est.is_suspected() {
                 est.mark_suspected();
                 self.suspicions.push(SuspicionEvent {
                     epoch,
@@ -784,7 +780,7 @@ impl FdsNode {
                     retracted: None,
                 });
             }
-            if score >= condemn_at {
+            if score >= adaptive::CONDEMN_MILLIS {
                 condemned.push(subject);
             }
         }
@@ -1116,7 +1112,7 @@ impl FdsNode {
                                 fraction,
                                 self.config.t_hop,
                                 ENERGY_LEVELS,
-                                self.config.peer_forward_slots,
+                                PEER_FORWARD_SLOTS,
                             );
                             self.schedule(
                                 ctx,
@@ -1209,9 +1205,9 @@ impl FdsNode {
                                 0
                             };
                             self.adaptive.get(&head).is_none_or(|est| {
-                                est.score_millis(self.epoch, self.config.adaptive_slack)
+                                est.score_millis(self.epoch, adaptive::SLACK)
                                     .saturating_add(bonus)
-                                    >= self.config.adaptive_condemn_millis
+                                    >= adaptive::CONDEMN_MILLIS
                             })
                         }
                     }
@@ -1254,7 +1250,7 @@ impl FdsNode {
                         epoch: self.epoch,
                     },
                 );
-                let window = self.config.t_hop * u64::from(self.config.peer_forward_slots + 2);
+                let window = self.config.t_hop * u64::from(PEER_FORWARD_SLOTS + 2);
                 self.schedule(
                     ctx,
                     window,
@@ -1383,7 +1379,7 @@ impl FdsNode {
                     .copied()
                     .filter(|f| !self.known_by_cluster.contains(target, *f))
                     .collect();
-                if still_pending.is_empty() || attempt > self.config.max_retransmits {
+                if still_pending.is_empty() || attempt > MAX_RETRANSMITS {
                     return;
                 }
                 self.send_report(ctx, target, &still_pending);
@@ -1421,7 +1417,7 @@ impl FdsNode {
                             && !self.known_by_cluster.contains(peer, *f)
                     })
                     .collect();
-                if missing.is_empty() || attempt >= self.config.max_retransmits {
+                if missing.is_empty() || attempt >= MAX_RETRANSMITS {
                     return;
                 }
                 // Retransmit the update so the link's forwarders get a
@@ -1562,7 +1558,7 @@ impl Actor for FdsNode {
                         fraction,
                         self.config.t_hop,
                         ENERGY_LEVELS,
-                        self.config.peer_forward_slots,
+                        PEER_FORWARD_SLOTS,
                     );
                     self.schedule(
                         ctx,

@@ -17,7 +17,7 @@
 //! [`crate::node::FdsNode`] is what the differential suite certifies.
 
 use crate::aggregation::{aggregate_readings, synthetic_reading, Aggregate};
-use crate::config::FdsConfig;
+use crate::config::{FdsConfig, MAX_RETRANSMITS, PEER_FORWARD_SLOTS};
 use crate::message::FailureReport;
 use crate::node::{DetectionEvent, NodeStats};
 use crate::peer_forward::waiting_period;
@@ -771,7 +771,7 @@ impl RefFdsNode {
                                 fraction,
                                 self.config.t_hop,
                                 ENERGY_LEVELS,
-                                self.config.peer_forward_slots,
+                                PEER_FORWARD_SLOTS,
                             );
                             self.schedule(
                                 ctx,
@@ -854,7 +854,7 @@ impl RefFdsNode {
                         epoch: self.epoch,
                     },
                 );
-                let window = self.config.t_hop * u64::from(self.config.peer_forward_slots + 2);
+                let window = self.config.t_hop * u64::from(PEER_FORWARD_SLOTS + 2);
                 self.schedule(
                     ctx,
                     window,
@@ -944,7 +944,7 @@ impl RefFdsNode {
                             .is_some_and(|known| known.contains(f))
                     })
                     .collect();
-                if still_pending.is_empty() || attempt > self.config.max_retransmits {
+                if still_pending.is_empty() || attempt > MAX_RETRANSMITS {
                     return;
                 }
                 self.send_report(ctx, target, still_pending.clone());
@@ -988,7 +988,7 @@ impl RefFdsNode {
                         !forwarded && !acked
                     })
                     .collect();
-                if missing.is_empty() || attempt >= self.config.max_retransmits {
+                if missing.is_empty() || attempt >= MAX_RETRANSMITS {
                     return;
                 }
                 self.stats.retransmissions += 1;
@@ -1085,7 +1085,7 @@ impl Actor for RefFdsNode {
                         fraction,
                         self.config.t_hop,
                         ENERGY_LEVELS,
-                        self.config.peer_forward_slots,
+                        PEER_FORWARD_SLOTS,
                     );
                     self.schedule(
                         ctx,

@@ -41,8 +41,11 @@ pub const MAGIC: [u8; 8] = *b"CBFDCKPT";
 /// snapshots cannot express that state, so the versions reject each
 /// other rather than misread trailing fields; `3` — `NodeStats` lost
 /// its id-list shadow byte counter (8 bytes per node), so version-2
-/// node encodings no longer line up and are rejected the same way.
-pub const FORMAT_VERSION: u32 = 3;
+/// node encodings no longer line up and are rejected the same way;
+/// `4` — six fixed `FdsConfig` tunables (peer-forward slots,
+/// retransmit cap, the four adaptive thresholds) became constants, so
+/// every persisted config is 36 bytes shorter.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Errors surfaced while writing or reading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]

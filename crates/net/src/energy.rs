@@ -98,16 +98,6 @@ impl EnergyBook {
         }
     }
 
-    /// Nodes whose charge has reached zero.
-    pub fn depleted_nodes(&self) -> Vec<NodeId> {
-        self.remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r <= 0.0)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
     /// Standard deviation of remaining charge across nodes — the
     /// energy-balance figure of merit for forwarding policies.
     pub fn imbalance(&self) -> f64 {
@@ -164,7 +154,6 @@ mod tests {
         book.charge_tx(NodeId(0));
         book.charge_tx(NodeId(0));
         assert_eq!(book.remaining(NodeId(0)), 0.0);
-        assert_eq!(book.depleted_nodes(), vec![NodeId(0)]);
     }
 
     #[test]
@@ -195,6 +184,5 @@ mod tests {
     fn empty_book_is_well_behaved() {
         let book = EnergyBook::new(0, EnergyModel::default());
         assert_eq!(book.imbalance(), 0.0);
-        assert!(book.depleted_nodes().is_empty());
     }
 }

@@ -58,7 +58,6 @@ pub mod geometry;
 pub mod id;
 pub mod loss;
 pub mod metrics;
-pub mod mobility;
 pub mod par;
 pub mod placement;
 pub mod radio;

@@ -92,17 +92,6 @@ impl SimMetrics {
             self.deliveries as f64 / offered as f64
         }
     }
-
-    /// The heaviest transmitter and its transmission count, if any
-    /// node transmitted.
-    pub fn busiest_node(&self) -> Option<(NodeId, u64)> {
-        self.tx_per_node
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-            .map(|(i, &c)| (NodeId(i as u32), c))
-    }
 }
 
 crate::impl_persist!(SimMetrics {
@@ -143,22 +132,6 @@ mod tests {
         m.record_delivery();
         m.record_loss();
         assert!((m.delivery_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busiest_node_picks_max_and_lowest_id_on_tie() {
-        let mut m = SimMetrics::new(4);
-        assert_eq!(m.busiest_node(), None);
-        m.record_transmission(NodeId(2), 0);
-        m.record_transmission(NodeId(3), 0);
-        m.record_transmission(NodeId(3), 0);
-        assert_eq!(m.busiest_node(), Some((NodeId(3), 2)));
-        m.record_transmission(NodeId(2), 0);
-        assert_eq!(
-            m.busiest_node(),
-            Some((NodeId(2), 2)),
-            "lowest ID wins ties"
-        );
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl TileGrid {
 
     /// The `(cx, cy)` cell containing `p`, clamped into the grid (a
     /// point outside the bounding box maps to the nearest edge cell,
-    /// so mobility drift can never produce an out-of-range tile).
+    /// so no position can produce an out-of-range tile).
     pub fn cell_of(&self, p: Point) -> (u32, u32) {
         (
             clamp_axis(p.x - self.min_x, self.cell_w, self.gx),

@@ -412,31 +412,6 @@ proptest! {
             prop_assert_eq!(fast.neighbors(n), slow.neighbors(n));
         }
     }
-
-    #[test]
-    fn reconcile_is_sound_under_random_motion(
-        pts in proptest::collection::vec((0.0f64..500.0, 0.0f64..500.0), 5..60),
-        moves in proptest::collection::vec((-80.0f64..80.0, -80.0f64..80.0), 5..60),
-    ) {
-        use cbfd::cluster::maintenance;
-        let config = FormationConfig::default();
-        let before: Vec<Point> = pts.iter().map(|(x, y)| Point::new(*x, *y)).collect();
-        let topology = Topology::from_positions(before.clone(), 100.0);
-        let view = oracle::form(&topology, &config);
-
-        let after: Vec<Point> = before
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let (dx, dy) = moves.get(i).copied().unwrap_or((0.0, 0.0));
-                Point::new((p.x + dx).clamp(0.0, 500.0), (p.y + dy).clamp(0.0, 500.0))
-            })
-            .collect();
-        let moved = Topology::from_positions(after, 100.0);
-        let reconciled = maintenance::reconcile(&moved, &config, &view);
-        let violations = invariants::check(&moved, &reconciled);
-        prop_assert!(violations.is_empty(), "{violations:?}");
-    }
 }
 
 proptest! {
